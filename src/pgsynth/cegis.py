@@ -322,42 +322,61 @@ def load_problem(path) -> SynthesisProblem:
 Point = dict[str, Value]
 
 
-def point_outcomes(problem: SynthesisProblem, e: Expr, points):
-    """Partially evaluate pc => spec[x -> e] on each point. Binding x to the
-    candidate's partial value is equivalent to substituting the candidate for
-    x, and walks the candidate once per point instead of once per occurrence.
-    Yields a definite Value or the UNKNOWN marker per point."""
+def point_outcomes(problem: SynthesisProblem, e: Expr, points, memo=None):
+    """Partially evaluate pc => spec[x -> e] on each point; yields a definite
+    Value, an ErrV or the UNKNOWN marker per point. Binding x to the
+    candidate's partial value is equivalent to substituting the candidate
+    for x, so the outcome depends on the candidate only through that value.
+    memo holds one dict per point, from the candidate's partial value to the
+    outcome: the candidate is walked once per point, and the implication
+    once per point and distinct value. search shares one memo among all its
+    point checks; without one, a fresh memo serves this call alone."""
+    if memo is None:
+        points = list(points)
+        memo = [{} for _ in points]
     imp = problem.implication
     x = problem.output_name
-    for a in points:
-        env = dict(a)
-        env[x] = partial_eval(e, a)
-        yield partial_eval(imp, env)
+    for a, seen in zip(points, memo, strict=True):
+        v = partial_eval(e, a)
+        out = seen.get(v)
+        if out is None:
+            env = dict(a)
+            env[x] = v
+            out = seen[v] = partial_eval(imp, env)
+        yield out
 
 
-def satisfied_count(problem: SynthesisProblem, t: Expr, points) -> int:
+def satisfied_count(problem: SynthesisProblem, t: Expr, points, memo=None) -> int:
     """Number of points on which the complete candidate t satisfies the
-    implication (an error value from t fails the point unless pc is false)."""
-    return sum(1 for out in point_outcomes(problem, t, points) if out == TRUE_V)
+    implication (an error value from t fails the point unless pc is false).
+    memo is as for point_outcomes."""
+    return list(point_outcomes(problem, t, points, memo)).count(TRUE_V)
 
 
-def make_prune(problem: SynthesisProblem, points):
+def make_prune(problem: SynthesisProblem, points, memo=None):
     """Discard a (partial) production iff the implication partially evaluates
-    to a definite false on some point: no completion can recover."""
+    to a definite false on some point: no completion can recover. Outcomes
+    come from memo, one dict per point keyed by the candidate's partial value
+    (see point_outcomes); search passes the memo its other checks share."""
     points = list(points)
+    if memo is None:
+        memo = [{} for _ in points]
 
     def prune(e: Expr) -> bool:
-        return any(out == FALSE_V for out in point_outcomes(problem, e, points))
+        return FALSE_V in point_outcomes(problem, e, points, memo)
 
     return prune
 
 
-def make_score(problem: SynthesisProblem, points):
-    """Count the points on which the implication is already definitely true."""
+def make_score(problem: SynthesisProblem, points, memo=None):
+    """Count the points on which the implication is already definitely true.
+    Outcomes come from memo as for make_prune."""
     points = list(points)
+    if memo is None:
+        memo = [{} for _ in points]
 
     def score(e: Expr) -> int:
-        return sum(1 for out in point_outcomes(problem, e, points) if out == TRUE_V)
+        return list(point_outcomes(problem, e, points, memo)).count(TRUE_V)
 
     return score
 
@@ -394,10 +413,11 @@ def search(
     empty point set the conjunction is vacuous and the first emission wins."""
     mode = mode if mode is not None else astar_score()
     points = [dict(a) for a in points]
+    memo = [{} for _ in points]  # shared by every point check of this search
     start = g.start(problem.output_type)
-    prune_fn = make_prune(problem, points) if prune and points else None
+    prune_fn = make_prune(problem, points, memo) if prune and points else None
     score_fn = (
-        make_score(problem, points)
+        make_score(problem, points, memo)
         if mode.kind == "astar-score" and points
         else None
     )
@@ -416,7 +436,8 @@ def search(
     )
     best, best_n = None, 0
     for pp in en:
-        n = satisfied_count(problem, pp.expr, points)
+        # an emitted production is complete, so its score is its satisfied count
+        n = pp.score if score_fn is not None else satisfied_count(problem, pp.expr, points, memo)
         if n == len(points):
             return SearchResult(pp.expr, en.stats, best, best_n)
         if n > best_n:

@@ -326,9 +326,11 @@ class Enumerator:
         self.queue.push(self._scored(root_pp(g, start)))
 
     def _scored(self, pp: PartialProduction) -> PartialProduction:
-        if self.score is None:
-            return pp
-        return replace(pp, score=self.score(pp.expr))
+        if self.score is not None:
+            # pp is new from expand or the rewriter and not yet shared, so its
+            # score is set in place instead of on a copy
+            object.__setattr__(pp, "score", self.score(pp.expr))
+        return pp
 
     def _trace(self, event: str, pp: PartialProduction) -> None:
         if self.trace is not None:

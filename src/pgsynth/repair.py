@@ -17,6 +17,7 @@ with the function result available as `result` inside ensures.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -85,6 +86,11 @@ class RepairError(LangError):
 
 
 Point = dict[str, Value]
+
+
+def _point_key(env: Point) -> frozenset:
+    """A hashable key equal for two points iff the dicts are equal."""
+    return frozenset(env.items())
 
 
 @dataclass(frozen=True)
@@ -190,7 +196,8 @@ class TestSuite:
 
     @property
     def passing(self) -> tuple[Point, ...]:
-        return tuple(p for p in self.points if p not in self.failing)
+        failing = set(map(_point_key, self.failing))
+        return tuple(p for p in self.points if _point_key(p) not in failing)
 
 
 def _passes(fn: FunctionDef, env: Point) -> bool:
@@ -218,6 +225,7 @@ def generate_tests(
             f"test domain for {fn.name} has {total} valuations, over the budget of {max_points}"
         )
     points: list[Point] = []
+    user_keys: set[frozenset] = set()
     for raw in user_tests:
         env = dict(raw)
         if pre is not None and evaluate(pre, env) != TRUE_V:
@@ -225,12 +233,15 @@ def generate_tests(
                 f"user test {sexpr.write([[n, _value_form(v)] for n, v in env.items()])} "
                 f"violates the precondition of {fn.name}"
             )
-        if env not in points:
+        key = _point_key(env)
+        if key not in user_keys:
+            user_keys.add(key)
             points.append(env)
+    # bounded_points yields each valuation once: only a user test can repeat one
     for env in bounded_points(fn.params, int_bound, list_bound):
         if pre is not None and evaluate(pre, env) != TRUE_V:
             continue
-        if env not in points:
+        if _point_key(env) not in user_keys:
             points.append(env)
     if not points:
         raise RepairError("vacuous contract: no bounded input satisfies the precondition")
@@ -332,6 +343,7 @@ class RepairResult:
     tests: int
     failing: int
     reason: str
+    wall_time: float = 0.0  # seconds for the whole repair call
 
     @property
     def synthesis_calls(self) -> int:
@@ -340,10 +352,6 @@ class RepairResult:
     @property
     def dequeued(self) -> int:
         return sum(a.result.stats.dequeued for a in self.attempts if a.result is not None)
-
-    @property
-    def wall_time(self) -> float:
-        return sum(a.result.stats.wall_time for a in self.attempts if a.result is not None)
 
 
 @lru_cache(maxsize=1)
@@ -373,17 +381,24 @@ def repair(
     replacement with the similar-term grammar first and the plain grammar on
     failure, splice it in, and accept iff the regenerated tests all pass.
     The plain grammar is the base (built-in when None) merged with a
-    local-bias extraction of the program under repair."""
+    local-bias extraction of the program under repair. The result's
+    wall_time covers the whole call."""
+    t0 = time.monotonic()
     fn = task.program.find(task.function)
     if fn is None:
         raise RepairError(f"function {task.function} not found")
     bounds = dict(int_bound=int_bound, list_bound=list_bound, max_points=max_points)
     suite = generate_tests(fn, task.test_envs(), **bounds)
-    if not suite.failing:
+    attempts: list[RepairAttempt] = []
+
+    def finish(success, program, location, replacement, reason):
         return RepairResult(
-            True, task.program, task.function, None, None, (),
-            len(suite.points), 0, "every test passes; nothing to repair",
+            success, program, task.function, location, replacement, tuple(attempts),
+            len(suite.points), len(suite.failing), reason, time.monotonic() - t0,
         )
+
+    if not suite.failing:
+        return finish(True, task.program, None, None, "every test passes; nothing to repair")
 
     plain = merge_grammar_files(
         [base if base is not None else _builtin_base(),
@@ -393,7 +408,6 @@ def repair(
     if max_locations is not None:
         locations = locations[:max_locations]
 
-    attempts: list[RepairAttempt] = []
     for path in locations:
         problem = location_problem(fn, path)
         grammars = []
@@ -425,13 +439,11 @@ def repair(
             continue
         candidate = replace(fn, body=replace_at(fn.body, path, spliced))
         if not generate_tests(candidate, task.test_envs(), **bounds).failing:
-            return RepairResult(
-                True, replace_function(task.program, candidate), task.function,
-                path, spliced, tuple(attempts), len(suite.points), len(suite.failing),
+            return finish(
+                True, replace_function(task.program, candidate), path, spliced,
                 f"repaired at {path or 'the body root'}: {to_sexpr(spliced)}",
             )
-    return RepairResult(
-        False, task.program, task.function, None, None, tuple(attempts),
-        len(suite.points), len(suite.failing),
+    return finish(
+        False, task.program, None, None,
         f"no location yielded a repair passing every test; tried {len(locations)} location(s)",
     )

@@ -8,6 +8,14 @@ end of line.
 from __future__ import annotations
 
 
+# The deepest list nesting the reader accepts. The recursive walks that
+# follow parsing (conversion, type checking, evaluation, printing) take up to
+# three stack frames per level: a problem spec about 330 levels deep exhausts
+# Python's default limit of 1000 frames. At 200 an accepted input still
+# leaves room for the caller's own frames.
+MAX_DEPTH = 200
+
+
 class SexprError(ValueError):
     """Malformed S-expression input."""
 
@@ -58,14 +66,25 @@ def _atom(word: str) -> int | Symbol:
 
 
 def parse_all(text: str) -> list:
-    """Parse every top-level form in the text."""
-    tokens = tokenize(text)
-    forms = []
-    pos = 0
-    while pos < len(tokens):
-        form, pos = _read(tokens, pos)
-        forms.append(form)
-    return forms
+    """Parse every top-level form in the text. Lists nest at most MAX_DEPTH
+    deep; the reader keeps its own stack of open lists, so deeper input is
+    rejected with SexprError rather than exhausting Python's stack."""
+    stack: list[list] = [[]]  # stack[0] collects the top-level forms
+    for tok in tokenize(text):
+        if isinstance(tok, Symbol) and tok == "(":
+            if len(stack) > MAX_DEPTH:
+                raise SexprError(f"lists nest deeper than {MAX_DEPTH}")
+            stack.append([])
+        elif isinstance(tok, Symbol) and tok == ")":
+            if len(stack) == 1:
+                raise SexprError("unexpected ')'")
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(tok)
+    if len(stack) > 1:
+        raise SexprError("unbalanced parenthesis")
+    return stack[0]
 
 
 def parse_one(text: str):
@@ -73,25 +92,6 @@ def parse_one(text: str):
     if len(forms) != 1:
         raise SexprError(f"expected exactly one form, found {len(forms)}")
     return forms[0]
-
-
-def _read(tokens: list, pos: int):
-    if pos >= len(tokens):
-        raise SexprError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == Symbol("("):
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise SexprError("unbalanced parenthesis")
-            if tokens[pos] == Symbol(")"):
-                return items, pos + 1
-            item, pos = _read(tokens, pos)
-            items.append(item)
-    if tok == Symbol(")"):
-        raise SexprError("unexpected ')'")
-    return tok, pos + 1
 
 
 def write(form) -> str:

@@ -24,9 +24,9 @@ from pgsynth.cegis import (
     value_fits,
     verify,
 )
-from pgsynth.enumerate import DIJKSTRA, astar_score
+from pgsynth.enumerate import ASTAR, DIJKSTRA, Enumerator, IndistRewriter, astar_score
 from pgsynth.grammar import GrammarError, normalize
-from pgsynth.grammarfile import desugar, parse_grammar_file
+from pgsynth.grammarfile import DEFAULT_GRAMMAR_TEXT, desugar, parse_grammar_file
 from pgsynth.lang import (
     BOOL,
     FALSE_V,
@@ -43,9 +43,13 @@ from pgsynth.lang import (
     ListV,
     TypeVar,
     Var,
+    evaluate,
     parse_expr,
+    partial_eval,
+    subst_var,
     to_sexpr,
 )
+from pgsynth.sexpr import MAX_DEPTH
 
 TRUE = BoolLit(True)
 
@@ -80,6 +84,28 @@ COND_GRAMMAR = gram(
 COND_SOLUTION = parse_expr("(if (= a 5) 6 (if (= a 7) 9 a))")
 
 POINTS_257 = [{"a": IntV(2)}, {"a": IntV(5)}, {"a": IntV(7)}]
+
+# max-of-2 over the default grammar; the example adds a desugared conjunct
+MAX2_PROBLEM = parse_problem(
+    """
+    (problem
+      (inputs (a Int) (b Int))
+      (output x Int)
+      (spec (and (and (<= a x) (<= b x)) (if (= x a) true (= x b))))
+      (examples ((a 1) (b 3) => 3)))
+    """
+)
+
+MAX2_GRAMMAR = gram(DEFAULT_GRAMMAR_TEXT, MAX2_PROBLEM.scope)
+
+MAX2_POINTS = [
+    {"a": IntV(a), "b": IntV(b)} for a, b in [(1, 3), (0, 0), (-1, 0), (2, -2), (4, 4)]
+]
+
+
+def nested_not(depth):
+    """A Bool expression whose S-expression nests `depth` lists deep."""
+    return "(not " * (depth - 1) + "(= x a)" + ")" * (depth - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +237,27 @@ def test_parse_list_typed_example_values():
         ("(problem (output x Int) (grammar foo))", "(grammar \"path\")"),
         ("(problem (output x Int) (grammar))", "(grammar \"path\")"),
         ("(problem 5 (output x Int))", "bad clause"),
+        # the problem and spec forms add two levels to the spec's own nesting
+        (f"(problem (output x Int) (spec {nested_not(MAX_DEPTH - 1)}))", "nest deeper"),
     ],
 )
 def test_parse_problem_errors(text, fragment):
     with pytest.raises(ProblemError) as exc:
         parse_problem(text)
     assert fragment in str(exc.value)
+
+
+def test_parse_problem_at_nesting_limit():
+    depth = MAX_DEPTH - 2  # the problem and spec forms add two levels
+    p = parse_problem(
+        f"(problem (inputs (a Int)) (output x Int) (spec {nested_not(depth)}))"
+    )
+    want = depth % 2 == 1  # the spec is (= x a) under depth - 1 nots
+    for x, a in [(1, 1), (1, 2)]:
+        env = {"x": IntV(x), "a": IntV(a)}
+        assert evaluate(p.spec, env) == BoolV(want == (x == a))
+        assert oracle_eval_expr(p.spec, {"x": x, "a": a}) is (want == (x == a))
+    assert verify(p, Var("a"), int_bound=2).valid is want
 
 
 def test_load_problem(tmp_path):
@@ -276,6 +317,46 @@ def test_point_outcomes_on_partial_candidate():
     root = parse_expr("(? Int)")
     assert not make_prune(COND_PROBLEM, POINTS_257)(root)
     assert make_score(COND_PROBLEM, POINTS_257)(root) == 0
+
+
+def dequeued_exprs(problem, g, points, max_dequeues):
+    """Every production dequeued by a search-like enumeration whose prune
+    and score hooks share one memo, plus that memo."""
+    memo = [{} for _ in points]
+    prune = make_prune(problem, points, memo)
+    seen = []
+
+    def recording_prune(e):
+        seen.append(e)
+        return prune(e)
+
+    en = Enumerator(
+        g, g.start(problem.output_type), astar_score(),
+        prune=recording_prune, score=make_score(problem, points, memo),
+        rewriter=IndistRewriter(points), max_dequeues=max_dequeues,
+    )
+    for _ in en:
+        pass
+    return seen, memo
+
+
+@pytest.mark.parametrize(
+    "problem, g, points",
+    [(COND_PROBLEM, COND_GRAMMAR, POINTS_257), (MAX2_PROBLEM, MAX2_GRAMMAR, MAX2_POINTS)],
+    ids=["cond", "max2"],
+)
+def test_memoized_outcomes_match_direct_substitution(problem, g, points):
+    seen, memo = dequeued_exprs(problem, g, points, 3000)
+    assert len(seen) == 3000
+    x = problem.output_name
+    for e in seen:
+        direct = Ite(problem.pc, subst_var(problem.full_spec, x, e), TRUE)
+        want = [partial_eval(direct, a) for a in points]
+        assert list(point_outcomes(problem, e, points, memo)) == want, to_sexpr(e)
+        assert make_prune(problem, points)(e) == (FALSE_V in want)
+        assert make_score(problem, points)(e) == want.count(TRUE_V)
+    # the memo is shared: far fewer distinct values than checked productions
+    assert all(len(m) < len(seen) / 10 for m in memo)
 
 
 def test_satisfied_count_matches_oracle_eval():
@@ -593,6 +674,38 @@ def test_cegis_deterministic():
     assert runs[0].expr == runs[1].expr
     assert runs[0].points == runs[1].points
     assert runs[0].stats.dequeued == runs[1].stats.dequeued
+
+
+# Answers and exact RunStats counters recorded with point checks that walked
+# the whole implication for every production; memoizing must not move them.
+PINNED_KEYS = (
+    "iterations", "dequeued", "pushed", "pruned", "expanded", "dup_dropped", "rewritten", "emitted",
+)
+
+
+@pytest.mark.parametrize(
+    "problem, g, mode, budget, answer, counts",
+    [
+        (COND_PROBLEM, COND_GRAMMAR, None, 200_000, "(if (= 5 a) 6 (if (= 7 a) 9 a))",
+         (4, 1191, 2143, 242, 945, 3432, 1265, 4)),
+        (COND_PROBLEM, COND_GRAMMAR, ASTAR, 200_000, "(if (= 5 a) 6 (if (= 7 a) 9 a))",
+         (4, 1357, 2211, 279, 1074, 4138, 1391, 4)),
+        (COND_PROBLEM, COND_GRAMMAR, DIJKSTRA, 3000, None,
+         (4, 4080, 13553, 56, 4021, 4578, 4280, 3)),
+        (MAX2_PROBLEM, MAX2_GRAMMAR, None, 200_000, "(if (<= a b) b a)",
+         (4, 4500, 13124, 1873, 1878, 1731, 541, 749)),
+        (MAX2_PROBLEM, MAX2_GRAMMAR, ASTAR, 200_000, "(if (<= a b) b a)",
+         (4, 4532, 13345, 1867, 1916, 2004, 562, 749)),
+        (MAX2_PROBLEM, MAX2_GRAMMAR, DIJKSTRA, 3000, None,
+         (3, 3405, 27450, 118, 3256, 1880, 857, 31)),
+    ],
+    ids=["cond-score", "cond-astar", "cond-dijkstra", "max2-score", "max2-astar", "max2-dijkstra"],
+)
+def test_cegis_counters_pinned(problem, g, mode, budget, answer, counts):
+    res = cegis(problem, g, mode, max_dequeues=budget, timeout_s=None)
+    assert (None if res.expr is None else to_sexpr(res.expr)) == answer
+    stats = res.stats.as_dict()
+    assert tuple(stats[k] for k in PINNED_KEYS) == counts
 
 
 def test_cegis_with_astar_score_coefficient():

@@ -20,6 +20,7 @@ from pgsynth.corpus import (
     parse_program,
 )
 from pgsynth.enumerate import Enumerator
+from pgsynth.sexpr import MAX_DEPTH
 from pgsynth.grammar import normalize
 from pgsynth.grammarfile import (
     desugar,
@@ -149,6 +150,8 @@ def test_parse_def_without_params():
         ("(def f ((l (List 'a))) -> Int (size l))", "non-ground"),
         ("(def f ((a Int)) -> Int (size (nil 'a)))", "uses a type variable"),
         ("(def f ((a Int)) -> Int a) (def f () -> Int 1)", "duplicate function f"),
+        # the def form adds one level to the body's nesting
+        ("(def f ((a Int)) -> Int " + "(+ 1 " * MAX_DEPTH + "a" + ")" * MAX_DEPTH + ")", "nest deeper"),
     ],
 )
 def test_parse_program_errors(text, fragment):

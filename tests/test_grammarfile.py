@@ -18,12 +18,20 @@ from pgsynth.lang import (
     BOOL,
     INT,
     Hole,
+    IntV,
     ListType,
     Nonterminal,
+    evaluate,
     type_of,
 )
+from pgsynth.sexpr import MAX_DEPTH
 
 INT_NT = Nonterminal(INT)
+
+
+def nested_sum(depth):
+    """An Int expression over `a` whose S-expression nests `depth` lists deep."""
+    return "(+ 1 " * depth + "a" + ")" * depth
 
 FLAT_FILE = """\
 # flat integer arithmetic
@@ -168,11 +176,21 @@ def test_fractional_weights_round_trip():
         ("bogus 1 2", "expected `label` or `production`"),
         ("production 1 [] p ((a b) Int) -> Int 0", "invalid parameter name"),
         ("production 1 [] p () -> Int (? Int)", "holes are not allowed"),
+        (f"production 1 [] p (a Int) -> Int {nested_sum(MAX_DEPTH + 1)}", "nest deeper"),
     ],
 )
 def test_parse_errors(line, match):
     with pytest.raises(GrammarFileError, match=match):
         parse_grammar_file(line + "\n")
+
+
+def test_parse_at_nesting_limit():
+    gf = parse_grammar_file(
+        f"production 1 [] z () -> Int 0\nproduction 1 [] p (a Int) -> Int {nested_sum(MAX_DEPTH)}\n"
+    )
+    assert evaluate(gf.productions[1].body, {"a": IntV(1)}) == IntV(MAX_DEPTH + 1)
+    g = normalize(desugar(gf, {}))
+    assert len(g.rules_for(INT_NT)) == 2
 
 
 def test_errors_carry_line_numbers():

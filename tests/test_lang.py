@@ -316,6 +316,12 @@ def test_parse_rejects_malformed():
             parse_expr(bad)
 
 
+def test_sexpr_reader_quoted_parens_are_strings():
+    from pgsynth.sexpr import Symbol, parse_all
+
+    assert parse_all('("(" ")") x') == [["(", ")"], Symbol("x")]
+
+
 def test_hole_parsing():
     e = parse_expr("(? Int NZ)")
     assert e == Hole(Nonterminal(INT, "NZ"))

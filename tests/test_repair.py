@@ -4,6 +4,8 @@ grammar, per-location synthesis problems, and the end-to-end loop.
 Failing-test classification is gated by the independent evaluator in
 oracle.py; repaired programs are re-verified point by point."""
 
+import time
+
 import pytest
 
 from pgsynth.cegis import SynthesisProblem
@@ -13,6 +15,7 @@ from pgsynth.lang import (
     BOOL,
     INT,
     IntLit,
+    ListV,
     ListType,
     Nonterminal,
     TRUE_V,
@@ -33,6 +36,7 @@ from pgsynth.repair import (
     repair,
     similar_term_grammar,
 )
+from pgsynth.sexpr import MAX_DEPTH
 from oracle import oracle_eval_expr, oracle_points
 
 LIST_INT = ListType(INT)
@@ -52,6 +56,11 @@ ABS_CORRECT = """
 
 def buggy_abs():
     return parse_program(ABS_BUGGY)
+
+
+def cons_list(depth):
+    """A (List Int) literal whose S-expression nests `depth` lists deep."""
+    return "(cons 1 " * (depth - 1) + "(nil Int)" + ")" * (depth - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +134,8 @@ def test_parse_task_missing_function(tmp_path):
         ("(tests ((a true)))", "does not fit Int"),
         ("(tests ((a (+ 1 2))))", "literal"),
         ("(tests ((a (head (nil Int)))))", "not a literal"),
+        # repair, tests, the test and the binding add four levels
+        (f"(tests ((a {cons_list(MAX_DEPTH - 3)})))", "nest deeper"),
     ],
 )
 def test_parse_task_test_errors(tmp_path, tests, fragment):
@@ -132,6 +143,22 @@ def test_parse_task_test_errors(tmp_path, tests, fragment):
     with pytest.raises(RepairError) as err:
         parse_task(f'(repair (program "prog.sexp") (function abs) {tests})', tmp_path)
     assert fragment in str(err.value)
+
+
+def test_parse_task_at_nesting_limit(tmp_path):
+    write_program(
+        tmp_path,
+        "(def len ((l (List Int))) -> Int (ensures (= result (size l))) (size l))",
+    )
+    depth = MAX_DEPTH - 4  # repair, tests, the test and the binding
+    task = parse_task(
+        f'(repair (program "prog.sexp") (function len) (tests ((l {cons_list(depth)}))))',
+        tmp_path,
+    )
+    (user,) = task.test_envs()
+    assert user["l"] == ListV((IntV(1),) * (depth - 1))
+    suite = generate_tests(task.program.find("len"), task.test_envs(), int_bound=1, list_bound=1)
+    assert suite.points[0] == user and suite.failing == ()
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +217,17 @@ def test_generate_tests_user_tests_come_first():
     assert suite.points[1] == {"a": IntV(5)}
     assert len(suite.points) == 10  # dedup against the generated grid
     assert {"a": IntV(-3)} in suite.failing
+
+
+def test_generate_tests_dedup_ignores_binding_order():
+    fn = parse_program(
+        "(def f ((a Int) (b Int)) -> Int (ensures (= result (+ a b))) (+ a b))"
+    ).find("f")
+    user = [{"b": IntV(1), "a": IntV(0)}, {"a": IntV(0), "b": IntV(1)}]
+    suite = generate_tests(fn, user, int_bound=1)
+    assert suite.points[0] == user[0]
+    assert len(suite.points) == 9  # the 3 x 3 grid, the user test among it
+    assert len(suite.passing) == 9
 
 
 def test_generate_tests_user_test_must_satisfy_precondition():
@@ -395,6 +433,23 @@ def test_repair_buggy_abs():
     assert res.synthesis_calls >= 1 and res.dequeued > 0
     assert "repaired at" in res.reason
     check_repaired_abs(res, prog)
+
+
+def test_repair_wall_time_covers_the_whole_call():
+    # the list domain makes test generation a large share of the call
+    prog = parse_program(
+        "(def dropcnt ((l (List Int))) -> Int"
+        "  (requires (not (isEmpty l)))"
+        "  (ensures (= result (size (tail l))))"
+        "  (head (tail l)))"
+    )
+    t0 = time.monotonic()
+    res = repair(RepairTask(prog, "dropcnt"), int_bound=3, list_bound=3,
+                 max_dequeues=600, timeout_s=None)
+    outside = time.monotonic() - t0
+    assert res.success
+    searches = sum(a.result.stats.wall_time for a in res.attempts if a.result is not None)
+    assert searches < res.wall_time <= outside
 
 
 def test_repair_buggy_abs_plain_grammar_only():
