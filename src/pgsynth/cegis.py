@@ -11,12 +11,15 @@ counterexample point that is added to A.
 Verification is bounded-exhaustive: integers range over [-B, B] and lists
 over lengths <= L, scanned in increasing total magnitude with a lexicographic
 tie-break, so results are deterministic and "valid" means valid within
-bounds. A is seeded from the problem's input/output examples, which also
-become conjuncts of the specification.
+bounds. Each domain is ordered once per (input types, bounds) per process and
+kept for later scans. A is seeded from the problem's input/output examples,
+which also become conjuncts of the specification; the scan evaluates those
+conjuncts only on the examples' own inputs, where they can be false.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -83,14 +86,21 @@ class ProblemError(LangError):
 
 
 def conjoin(exprs) -> Expr:
-    """Left-associated conjunction; empty list is true."""
+    """Balanced conjunction, the larger half on the left, so n conjuncts nest
+    about log2(n) deep: (and (and a b) c). And yields its first non-true
+    operand from the left under any association, so the shape changes no
+    value. An empty list is true."""
     exprs = list(exprs)
     if not exprs:
         return TRUE
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = And(out, e)
-    return out
+
+    def build(lo: int, hi: int) -> Expr:
+        if hi - lo == 1:
+            return exprs[lo]
+        mid = (lo + hi + 1) // 2
+        return And(build(lo, mid), build(mid, hi))
+
+    return build(0, len(exprs))
 
 
 def value_fits(v: Value, t: Type) -> bool:
@@ -189,16 +199,18 @@ class SynthesisProblem:
 # Problem files
 
 
-def _clauses(form, head: str) -> dict[str, list]:
+def _clauses(form, head: str, error: type[LangError] = ProblemError) -> dict[str, list]:
+    """The clauses of a (head (name ...) ...) form by name; a malformed form
+    raises error. Problem and repair task files share it."""
     if not (isinstance(form, list) and form and form[0] == Symbol(head)):
-        raise ProblemError(f"expected a ({head} ...) form")
+        raise error(f"expected a ({head} ...) form")
     out: dict[str, list] = {}
     for clause in form[1:]:
         if not (isinstance(clause, list) and clause and isinstance(clause[0], Symbol)):
-            raise ProblemError(f"bad clause {sexpr.write(clause)}")
+            raise error(f"bad clause {sexpr.write(clause)}")
         name = str(clause[0])
         if name in out:
-            raise ProblemError(f"duplicate clause ({name} ...)")
+            raise error(f"duplicate clause ({name} ...)")
         out[name] = clause[1:]
     return out
 
@@ -500,19 +512,36 @@ def domain_size(t: Type, int_bound: int, list_bound: int) -> int:
     raise ProblemError(f"cannot enumerate values of {type_str(t)}")
 
 
+_DOMAIN_CACHE_SIZE = 8  # ordered domains kept per process
+
+
+@functools.lru_cache(maxsize=_DOMAIN_CACHE_SIZE)
+def _ordered_domain(
+    types: tuple[Type, ...], int_bound: int, list_bound: int
+) -> tuple[tuple[Value, ...], ...]:
+    """Every valuation of types over the bounded domains, in bounded_points
+    order. Memoized; holds only immutable tuples."""
+    domains = [bounded_values(t, int_bound, list_bound) for t in types]
+    if len(domains) == 1:
+        return tuple((v,) for v in domains[0])  # bounded_values already ordered it
+    keyed = [[(magnitude(v), order_key(v), v) for v in d] for d in domains]
+    combos = sorted(
+        itertools.product(*keyed),
+        key=lambda c: (sum(m for m, _, _ in c), tuple(k for _, k, _ in c)),
+    )
+    return tuple(tuple(v for _, _, v in c) for c in combos)
+
+
 def bounded_points(
     inputs, int_bound: int = DEFAULT_INT_BOUND, list_bound: int = DEFAULT_LIST_BOUND
 ):
     """All valuations of the inputs over the bounded domains, in increasing
     total magnitude, ties broken lexicographically across the inputs in
-    order. Deterministic, so the first counterexample is reproducible."""
-    domains = [bounded_values(t, int_bound, list_bound) for _, t in inputs]
+    order. Deterministic, so the first counterexample is reproducible. The
+    order is computed once per (types, bounds) per process; each point is a
+    fresh dict."""
     names = [n for n, _ in inputs]
-    combos = sorted(
-        itertools.product(*domains),
-        key=lambda vs: (sum(magnitude(v) for v in vs), tuple(order_key(v) for v in vs)),
-    )
-    for vs in combos:
+    for vs in _ordered_domain(tuple(t for _, t in inputs), int_bound, list_bound):
         yield dict(zip(names, vs))
 
 
@@ -526,13 +555,18 @@ def verify(
     """Bounded-exhaustive check of t against the problem. Scans every bounded
     valuation satisfying pc; the first falsifying point (in the documented
     order) becomes the counterexample. A domain larger than max_points is not
-    scanned and reports unknown."""
+    scanned and reports unknown. The domain's order is computed once per
+    (types, bounds) per process (see bounded_points). An example's conjunct
+    is true off the example's inputs, and And yields its first non-true
+    operand, so full_spec is evaluated only on example inputs and the spec
+    alone elsewhere, with the same verdict on every point."""
     total = math.prod(domain_size(ty, int_bound, list_bound) for _, ty in problem.inputs)
     if total > max_points:
         return VerifyResult(
             "unknown", reason=f"{total} candidate points exceed the budget of {max_points}"
         )
-    spec = problem.full_spec
+    names = [n for n, _ in problem.inputs]
+    example_inputs = {tuple(ex.env()[n] for n in names) for ex in problem.examples}
     x = problem.output_name
     scanned = 0
     for env in bounded_points(problem.inputs, int_bound, list_bound):
@@ -541,6 +575,8 @@ def verify(
         scanned += 1
         out = dict(env)
         out[x] = evaluate(t, env)
+        on_example = example_inputs and tuple(env[n] for n in names) in example_inputs
+        spec = problem.full_spec if on_example else problem.spec
         if evaluate(spec, out) != TRUE_V:
             return VerifyResult(
                 "counterexample", point=tuple(env.items()), scanned=scanned

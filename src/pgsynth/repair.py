@@ -36,6 +36,7 @@ from .cegis import (
     conjoin,
     domain_size,
     value_fits,
+    _clauses,
     _literal_value,
 )
 from .corpus import (
@@ -115,16 +116,7 @@ def parse_task(text: str, program_dir=".") -> RepairTask:
         form = sexpr.parse_one(text)
     except SexprError as err:
         raise RepairError(str(err)) from None
-    if not (isinstance(form, list) and form and form[0] == Symbol("repair")):
-        raise RepairError("expected a (repair ...) form")
-    clauses: dict[str, list] = {}
-    for clause in form[1:]:
-        if not (isinstance(clause, list) and clause and isinstance(clause[0], Symbol)):
-            raise RepairError(f"bad clause {sexpr.write(clause)}")
-        name = str(clause[0])
-        if name in clauses:
-            raise RepairError(f"duplicate clause ({name} ...)")
-        clauses[name] = clause[1:]
+    clauses = _clauses(form, "repair", RepairError)
     unknown = set(clauses) - {"program", "function", "tests"}
     if unknown:
         raise RepairError(f"unknown clause(s): {', '.join(sorted(unknown))}")

@@ -466,6 +466,87 @@ def test_verify_budget_unknown():
     assert verify(big, IntLit(0)).status == "unknown"
 
 
+def full_spec_scan(problem, t, int_bound, list_bound):
+    """Reference for verify: evaluate full_spec on every point satisfying pc."""
+    scanned = 0
+    for env in bounded_points(problem.inputs, int_bound, list_bound):
+        if evaluate(problem.pc, env) != TRUE_V:
+            continue
+        scanned += 1
+        out = {**env, problem.output_name: evaluate(t, env)}
+        if evaluate(problem.full_spec, out) != TRUE_V:
+            return "counterexample", tuple(env.items()), scanned
+    return "valid", None, scanned
+
+
+LIST_EXAMPLES = """
+    (problem (inputs (l (List Int)) (a Int)) (output x Int) {pc}
+      (spec (<= a (+ x (size l))))
+      (examples ((a 0) (l (cons 1 (cons 2 (nil Int)))) => 3)
+                ((l (cons 1 (nil Int))) (a 1) => 2)
+                {extra}))
+"""
+
+
+@pytest.mark.parametrize(
+    "pc, extra",
+    [
+        ("", ""),
+        ("(pc (not (isEmpty l)))", ""),
+        # the same input twice, bound in either order: consistent, then not
+        ("", "((a 1) (l (cons 1 (nil Int))) => 2)"),
+        ("(pc (not (isEmpty l)))", "((a 1) (l (cons 1 (nil Int))) => 1)"),
+    ],
+    ids=["lists", "pc", "same-input", "contradicting"],
+)
+def test_verify_matches_full_spec_scan(pc, extra):
+    problem = parse_problem(LIST_EXAMPLES.format(pc=pc, extra=extra))
+    candidates = [
+        "a",
+        "(head l)",  # errors on the empty list, which pc may exclude
+        "(+ a (size l))",  # fails only on the example point ([1 2], 0)
+        "(if (= l (cons 1 (cons 2 (nil Int)))) 3 (+ a (size l)))",
+        "0",
+    ]
+    for text in candidates:
+        t = parse_expr(text)
+        got = verify(problem, t, int_bound=2, list_bound=2)
+        assert (got.status, got.point, got.scanned) == full_spec_scan(problem, t, 2, 2), text
+        status, env = oracle_verify(problem, t, int_bound=2, list_bound=2)
+        assert got.status == status, text
+        if status == "counterexample":
+            assert {n: to_py(v) for n, v in got.point} == env, text
+
+
+def test_bounded_domain_never_leaks_mutation():
+    inputs = (("l", ListType(INT)), ("a", INT))
+    want = oracle_points(inputs, 1, 2)
+    for p in bounded_points(inputs, 1, 2):
+        p["a"] = IntV(99)
+        del p["l"]
+    got = [{n: to_py(v) for n, v in p.items()} for p in bounded_points(inputs, 1, 2)]
+    assert got == want
+    vals = bounded_values(INT, 2, 1)
+    vals.reverse()
+    vals.append(IntV(99))
+    assert bounded_values(INT, 2, 1) == [IntV(i) for i in [0, -1, 1, -2, 2]]
+
+
+def test_many_examples_search_and_verify():
+    # 600 examples conjoin balanced, about 10 levels deep, not 600
+    examples = " ".join(f"((a {i}) => {i})" for i in range(-300, 300))
+    problem = parse_problem(
+        f"(problem (inputs (a Int)) (output x Int) (examples {examples}))"
+    )
+    points = [ex.env() for ex in problem.examples]
+    sr = search(problem, COND_GRAMMAR, points, timeout_s=None)
+    assert sr.expr == Var("a")
+    assert satisfied_count(problem, IntLit(6), points) == 1
+    assert verify(problem, Var("a")).valid
+    vr = verify(problem, IntLit(6))
+    assert vr.point == (("a", IntV(0)),) and vr.scanned == 1
+
+
 # ---------------------------------------------------------------------------
 # Search phase
 

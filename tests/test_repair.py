@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from pgsynth.cegis import SynthesisProblem
+from pgsynth.cegis import SynthesisProblem, bounded_points
 from pgsynth.corpus import parse_program, emit_program
 from pgsynth.grammarfile import parse_grammar_file, DEFAULT_GRAMMAR_TEXT
 from pgsynth.lang import (
@@ -37,7 +37,7 @@ from pgsynth.repair import (
     similar_term_grammar,
 )
 from pgsynth.sexpr import MAX_DEPTH
-from oracle import oracle_eval_expr, oracle_points
+from oracle import oracle_eval_expr, oracle_points, to_py
 
 LIST_INT = ListType(INT)
 
@@ -228,6 +228,18 @@ def test_generate_tests_dedup_ignores_binding_order():
     assert suite.points[0] == user[0]
     assert len(suite.points) == 9  # the 3 x 3 grid, the user test among it
     assert len(suite.passing) == 9
+
+
+def test_generate_tests_mutation_does_not_reach_the_domain():
+    fn = parse_program(
+        "(def f ((l (List Int)) (a Int)) -> Int (ensures (= result a)) a)"
+    ).find("f")
+    for p in generate_tests(fn, int_bound=1, list_bound=2).points:
+        p["a"] = IntV(99)
+        del p["l"]
+    want = oracle_points(fn.params, 1, 2)
+    for points in (bounded_points(fn.params, 1, 2), generate_tests(fn, int_bound=1, list_bound=2).points):
+        assert [{n: to_py(v) for n, v in p.items()} for p in points] == want
 
 
 def test_generate_tests_user_test_must_satisfy_precondition():
