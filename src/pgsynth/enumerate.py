@@ -11,6 +11,13 @@ known to satisfy input points. On top of the plain search sit three optional
 devices: a pruning hook consulted at every dequeue, a two-stage
 indistinguishability rewriter, and queue-level deduplication by derivation
 key.
+
+Expansion pays for the spine, not the tree. A child differs from its parent
+only on the path from the filled hole to the root; the parent was rewritten
+when it was dequeued, so off that path every maximal complete subexpression
+is already a representative, and the rewriter descends that path alone. A
+child's hole offsets and paths are filled from its parent's on first read,
+which only the children that are themselves expanded ever do.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .grammar import Pcfg
@@ -40,7 +47,6 @@ from .lang import (
 DEFAULT_MAX_DEQUEUES = 500_000
 
 
-@dataclass(frozen=True)
 class PartialProduction:
     """An expression with zero or more holes, plus its search bookkeeping:
     cost is the sum of -log p over rules used, horizon_sum the sum of h(N)
@@ -49,26 +55,100 @@ class PartialProduction:
     already definitely satisfies. derivation_key is the canonical print of
     the expression (holes shown with their nonterminals); hole_pos and
     hole_paths give each hole's offset in the key and path in the tree.
-    Expansion maintains all three incrementally; they are recomputed from
-    expr when left unset."""
 
-    expr: Expr
-    cost: float
-    horizon_sum: float
-    hole_nts: tuple[Nonterminal, ...]
-    hole_h: tuple[float, ...] = ()  # horizon of each hole, parallel to hole_nts
-    score: int = 0
-    derivation_key: str = ""
-    hole_pos: tuple[int, ...] = ()
-    hole_paths: tuple[tuple[int, ...], ...] = ()
+    hole_pos and hole_paths are filled on first read: from expr and the key
+    when left unset, and for an expansion child from its parent's tuples, so
+    a child that is never expanded never builds them. `spine` is set by
+    expansion: the path the rewriter descends (see IndistRewriter) and
+    whether the node at its end is complete; None means no path is
+    recorded and the rewriter walks the whole tree."""
 
-    def __post_init__(self):
-        if not self.derivation_key:
-            key = to_sexpr(self.expr)
-            object.__setattr__(self, "derivation_key", key)
-            object.__setattr__(self, "hole_pos", hole_offsets(key, self.hole_nts))
-        if len(self.hole_paths) != len(self.hole_nts):
-            object.__setattr__(self, "hole_paths", hole_paths(self.expr))
+    __slots__ = (
+        "expr",
+        "cost",
+        "horizon_sum",
+        "hole_nts",
+        "hole_h",
+        "score",
+        "derivation_key",
+        "spine",
+        "_pos",
+        "_paths",
+        "_ctx",
+        "_rule",
+    )
+
+    def __init__(
+        self,
+        expr: Expr,
+        cost: float,
+        horizon_sum: float,
+        hole_nts: tuple[Nonterminal, ...],
+        hole_h: tuple[float, ...] = (),  # horizon of each hole, parallel to hole_nts
+        score: int = 0,
+        derivation_key: str = "",
+        hole_pos: tuple[int, ...] = (),
+        hole_paths: tuple[tuple[int, ...], ...] = (),
+    ):
+        self.expr = expr
+        self.cost = cost
+        self.horizon_sum = horizon_sum
+        self.hole_nts = hole_nts
+        self.hole_h = hole_h
+        self.score = score
+        if not derivation_key:
+            derivation_key = to_sexpr(expr)
+            hole_pos = ()
+        self.derivation_key = derivation_key
+        n = len(hole_nts)
+        self._pos = hole_pos if len(hole_pos) == n else None
+        self._paths = hole_paths if len(hole_paths) == n else None
+        self.spine = self._ctx = self._rule = None
+
+    @classmethod
+    def _expanded(cls, expr, cost, hole_nts, hole_h, key, spine, ctx, rule):
+        """A child of expansion; ctx holds the parent's tuples and rule the
+        filled rule's expansion record, from which hole_pos and hole_paths
+        are filled on first read."""
+        pp = cls.__new__(cls)
+        pp.expr = expr
+        pp.cost = cost
+        pp.horizon_sum = sum(hole_h, 0.0)
+        pp.hole_nts = hole_nts
+        pp.hole_h = hole_h
+        pp.score = 0
+        pp.derivation_key = key
+        pp.spine = spine
+        pp._pos = pp._paths = None
+        pp._ctx = ctx
+        pp._rule = rule
+        return pp
+
+    def _fill(self) -> None:
+        if self._ctx is None:
+            if self._pos is None:
+                self._pos = hole_offsets(self.derivation_key, self.hole_nts)
+            if self._paths is None:
+                self._paths = hole_paths(self.expr)
+            return
+        at, width, pos, at_path, rest_paths = self._ctx
+        _, text, offs, rel_paths = self._rule
+        delta = len(text) - width
+        self._pos = tuple(at + o for o in offs) + tuple(q + delta for q in pos[1:])
+        self._paths = tuple(at_path + rel for rel in rel_paths) + rest_paths
+        self._ctx = self._rule = None
+
+    @property
+    def hole_pos(self) -> tuple[int, ...]:
+        if self._pos is None:
+            self._fill()
+        return self._pos
+
+    @property
+    def hole_paths(self) -> tuple[tuple[int, ...], ...]:
+        if self._paths is None:
+            self._fill()
+        return self._paths
 
     @property
     def complete(self) -> bool:
@@ -77,6 +157,9 @@ class PartialProduction:
     @property
     def probability(self) -> float:
         return math.exp(-self.cost)
+
+    def __repr__(self) -> str:
+        return f"PartialProduction({self.derivation_key!r}, cost={self.cost:.6g})"
 
 
 @dataclass(frozen=True)
@@ -101,8 +184,9 @@ ASTAR = PriorityMode("astar")
 
 
 def astar_score(c: float = 1.0) -> PriorityMode:
-    if c < 0:
-        raise ValueError("score coefficient must be nonnegative")
+    # with inf an unscored production's priority is inf * 0, which is nan
+    if not math.isfinite(c) or c < 0:
+        raise ValueError("score coefficient must be finite and nonnegative")
     return PriorityMode("astar-score", c)
 
 
@@ -124,49 +208,60 @@ def root_pp(g: Pcfg, start: Nonterminal) -> PartialProduction:
 
 
 def expand(pp: PartialProduction, g: Pcfg) -> list[PartialProduction]:
-    """One child per rule of the leftmost hole's nonterminal, in rule order."""
+    """One child per rule of the leftmost hole's nonterminal, in rule order.
+    Each child records as its spine the path of the hole it filled, or, when
+    the rule's template is complete, that path down to the first complete
+    node: just below where it parts from the next hole's path (holes are in
+    preorder), or the root when no hole is left."""
     if pp.complete:
         raise ValueError("cannot expand a complete production")
-    rule_h = g.rule_hole_horizons()
-    rule_key = g.rule_key_parts()
-    rule_paths = g.rule_hole_paths()
+    rule_exp = g.rule_expansions()
     nt = pp.hole_nts[0]
     rest_nts = pp.hole_nts[1:]
     rest_h = pp.hole_h[1:]
-    rest_paths = pp.hole_paths[1:]
-    at_path = pp.hole_paths[0]
-    key = pp.derivation_key
     pos = pp.hole_pos
+    paths = pp.hole_paths
+    at_path = paths[0]
+    rest_paths = paths[1:]
+    key = pp.derivation_key
     at = pos[0]
     end = at + len(hole_print(nt))
-    # descend to the hole once; each rule then rebuilds along the spine
-    spine = []
+    ctx = (at, end - at, pos, at_path, rest_paths)
+    spine_kept = (at_path, False)
+    if rest_paths:
+        # neither path is a prefix of the other: both end at holes
+        nxt = rest_paths[0]
+        d = 0
+        while at_path[d] == nxt[d]:
+            d += 1
+        spine_done = (at_path[: d + 1], True)
+    else:
+        spine_done = ((), True)
+    # descend to the hole once; each rule then rebuilds along the path
+    lineage = []
     node = pp.expr
     for i in at_path:
         kids = children(node)
-        spine.append((node, i, kids))
+        lineage.append((node, i, kids))
         node = kids[i]
     out = []
     for r in g.rules_for(nt):
-        hole_h = rule_h[r.id] + rest_h
-        text, offs = rule_key[r.id]
-        delta = len(text) - (end - at)
+        rule = rule_exp[r.id]
+        hole_h = rule[0] + rest_h
         new = r.template
-        for parent, i, kids in reversed(spine):
+        for parent, i, kids in reversed(lineage):
             # every spine node's constructor takes exactly its children
             new = type(parent)(*kids[:i], new, *kids[i + 1 :])
         out.append(
-            PartialProduction(
-                expr=new,
-                cost=pp.cost + g.cost[r.id],
-                horizon_sum=sum(hole_h, 0.0),
-                hole_nts=r.child_nts + rest_nts,
-                hole_h=hole_h,
-                derivation_key=key[:at] + text + key[end:],
-                hole_pos=tuple(at + o for o in offs)
-                + tuple(q + delta for q in pos[1:]),
-                hole_paths=tuple(at_path + rel for rel in rule_paths[r.id])
-                + rest_paths,
+            PartialProduction._expanded(
+                new,
+                pp.cost + g.cost[r.id],
+                r.child_nts + rest_nts,
+                hole_h,
+                key[:at] + rule[1] + key[end:],
+                spine_kept if r.child_nts else spine_done,
+                ctx,
+                rule,
             )
         )
     return out
@@ -217,7 +312,15 @@ class IndistRewriter:
     equivalence class on the input points. The full rewrite evaluates maximal
     complete subexpressions on every point to find their signature; the fast
     variant only consults the expression table filled by earlier full
-    rewrites."""
+    rewrites.
+
+    A production with a recorded spine is rewritten along it alone. Its
+    parent was fully rewritten before it was expanded, so off the spine
+    every maximal complete subexpression is already a representative, and a
+    representative maps to itself: the result, the table updates and
+    `evals` are those of the whole-tree walk. A complete end node is looked
+    up once; a template that keeps holes is walked, unless all its children
+    are holes."""
 
     def __init__(self, envs: list[dict[str, Value]]):
         if not envs:
@@ -254,14 +357,43 @@ class IndistRewriter:
         new = tuple(represent(k) if c else k for k, c in out)
         return (e if new == kids else rebuild(e, new)), False
 
-    def _rewrite(self, pp: PartialProduction, represent) -> PartialProduction:
-        new, complete = self._walk(pp.expr, represent)
+    def _spine(self, e: Expr, path: tuple[int, ...], complete: bool, represent):
+        """The tree rewritten along path, or None when nothing changes."""
+        lineage = []
+        for i in path:
+            kids = children(e)
+            lineage.append((e, i, kids))
+            e = kids[i]
         if complete:
-            new = represent(new)
-        if new == pp.expr:
-            return pp
+            new = represent(e)
+            if new is e or new == e:
+                return None
+        else:
+            kids = children(e)
+            if all(k.__class__ is Hole for k in kids):
+                return None
+            new, _ = self._walk(e, represent)
+            if new is e:
+                return None
+        for parent, i, kids in reversed(lineage):
+            new = type(parent)(*kids[:i], new, *kids[i + 1 :])
+        return new
+
+    def _rewrite(self, pp: PartialProduction, represent) -> PartialProduction:
+        if pp.spine is None:
+            new, complete = self._walk(pp.expr, represent)
+            if complete:
+                new = represent(new)
+            if new == pp.expr:
+                return pp
+        else:
+            new = self._spine(pp.expr, *pp.spine, represent)
+            if new is None:
+                return pp
         # key, offsets and paths are stale for the rewritten tree; recompute
-        return replace(pp, expr=new, derivation_key="", hole_pos=(), hole_paths=())
+        out = PartialProduction(new, pp.cost, pp.horizon_sum, pp.hole_nts, pp.hole_h, pp.score)
+        out.spine = pp.spine
+        return out
 
     def rewrite_full(self, pp: PartialProduction) -> PartialProduction:
         return self._rewrite(pp, self._represent)
@@ -329,7 +461,7 @@ class Enumerator:
         if self.score is not None:
             # pp is new from expand or the rewriter and not yet shared, so its
             # score is set in place instead of on a copy
-            object.__setattr__(pp, "score", self.score(pp.expr))
+            pp.score = self.score(pp.expr)
         return pp
 
     def _trace(self, event: str, pp: PartialProduction) -> None:

@@ -72,6 +72,9 @@ class ProductionRule:
         return f"{self.lhs} ::= {body} (w={self.weight:g})"
 
 
+RuleExpansion = tuple[tuple[float, ...], str, tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
 @dataclass
 class Pcfg:
     """Normalized grammar: rules grouped by nonterminal, with probabilities
@@ -81,9 +84,7 @@ class Pcfg:
     prob: dict[str, float]
     cost: dict[str, float]
     _horizons: dict[Nonterminal, float] | None = field(default=None, repr=False)
-    _rule_h: dict[str, tuple[float, ...]] | None = field(default=None, repr=False)
-    _rule_key: dict[str, tuple[str, tuple[int, ...]]] | None = field(default=None, repr=False)
-    _rule_paths: dict[str, tuple[tuple[int, ...], ...]] | None = field(default=None, repr=False)
+    _rule_exp: dict[str, RuleExpansion] | None = field(default=None, repr=False)
 
     def all_rules(self):
         for group in self.rules.values():
@@ -103,32 +104,25 @@ class Pcfg:
             self._horizons = horizons(self)
         return self._horizons
 
-    def rule_hole_horizons(self) -> dict[str, tuple[float, ...]]:
-        """Per rule, the horizon of each child nonterminal (in hole order)."""
-        if self._rule_h is None:
+    def rule_expansions(self) -> dict[str, RuleExpansion]:
+        """Per rule, what expansion splices in for it, each in hole order:
+        the horizon of each child nonterminal, the template's printed form,
+        the offset of each hole's own printed form inside it, and the path
+        of each hole inside the template. Lets expansion splice derivation
+        keys as strings instead of reprinting whole trees."""
+        if self._rule_exp is None:
             h = self.horizon()
-            self._rule_h = {
-                r.id: tuple(h[c] for c in r.child_nts) for r in self.all_rules()
-            }
-        return self._rule_h
-
-    def rule_key_parts(self) -> dict[str, tuple[str, tuple[int, ...]]]:
-        """Per rule, the template's printed form and the offset of each hole's
-        own printed form inside it (in hole order). Lets expansion splice
-        derivation keys as strings instead of reprinting whole trees."""
-        if self._rule_key is None:
-            parts = {}
+            out = {}
             for r in self.all_rules():
                 text = to_sexpr(r.template)
-                parts[r.id] = (text, hole_offsets(text, r.child_nts))
-            self._rule_key = parts
-        return self._rule_key
-
-    def rule_hole_paths(self) -> dict[str, tuple[tuple[int, ...], ...]]:
-        """Per rule, the path of each hole inside the template (hole order)."""
-        if self._rule_paths is None:
-            self._rule_paths = {r.id: hole_paths(r.template) for r in self.all_rules()}
-        return self._rule_paths
+                out[r.id] = (
+                    tuple(h[c] for c in r.child_nts),
+                    text,
+                    hole_offsets(text, r.child_nts),
+                    hole_paths(r.template),
+                )
+            self._rule_exp = out
+        return self._rule_exp
 
 
 def _rule_groups(rules) -> dict[Nonterminal, list[ProductionRule]]:

@@ -44,6 +44,28 @@ def two_sort_grammar() -> Pcfg:
     )
 
 
+def mixed_template_grammar() -> Pcfg:
+    """Int/Bool grammar whose templates mix holes with complete subterms,
+    before and after the hole, nested one level down, and a complete
+    template of depth two."""
+    return normalize(
+        [
+            R("int0", INT_NT, IntLit(0), 15),
+            R("int1", INT_NT, IntLit(1), 20),
+            R("intx", INT_NT, Var("x"), 30),
+            R("inc", INT_NT, Plus(Hole(INT_NT), IntLit(1)), 10),
+            R("zero+", INT_NT, Plus(Minus(Var("x"), Var("x")), Hole(INT_NT)), 5),
+            R("twice", INT_NT, Plus(Var("x"), Plus(Hole(INT_NT), Var("x"))), 5),
+            R("dec", INT_NT, Minus(Var("x"), IntLit(1)), 5),
+            R("add", INT_NT, Plus(Hole(INT_NT), Hole(INT_NT)), 10),
+            R("cond", INT_NT, Ite(Hole(BOOL_NT), Hole(INT_NT), Hole(INT_NT)), 10),
+            R("le", BOOL_NT, Leq(Hole(INT_NT), Hole(INT_NT)), 60),
+            R("lex", BOOL_NT, Leq(Var("x"), Hole(INT_NT)), 20),
+            R("conj", BOOL_NT, And(Hole(BOOL_NT), Leq(IntLit(0), Var("x"))), 20),
+        ]
+    )
+
+
 def weight_table_rules() -> list[ProductionRule]:
     """plus/minus/one/zero/variable at weights 10/5/5/10/20."""
     return [

@@ -8,7 +8,14 @@ import time
 
 import pytest
 
-from grammars import INT_NT, R, random_finite_pcfg, random_recursive_pcfg, two_sort_grammar
+from grammars import (
+    INT_NT,
+    R,
+    mixed_template_grammar,
+    random_finite_pcfg,
+    random_recursive_pcfg,
+    two_sort_grammar,
+)
 from oracle import derivations
 from pgsynth.enumerate import (
     ASTAR,
@@ -129,8 +136,9 @@ def test_parse_mode():
     assert parse_mode("astar") is ASTAR
     assert parse_mode("astar-score").c == 1.0
     assert parse_mode("astar-score:2.5").c == 2.5
-    with pytest.raises(ValueError):
-        parse_mode("bfs")
+    for bad in ("bfs", "astar-score:-1", "astar-score:nan", "astar-score:inf"):
+        with pytest.raises(ValueError):
+            parse_mode(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +425,70 @@ def test_rewriting_stream_finds_equivalent_solution_no_later():
         raise AssertionError("rewriting stream never found the target")
     assert sig(pp.expr) == target
     assert fast.stats.dequeued <= plain_dequeues
+
+
+class _RefereedRewriter(IndistRewriter):
+    """Rewrites every production twice under the same table state: along its
+    recorded spine, and by the whole-tree walk on a copy without one. The two
+    must agree on the result and on what they add to the tables."""
+
+    def __init__(self, envs):
+        super().__init__(envs)
+        self.changed = {True: 0, False: 0}  # by whether the spine ends complete
+
+    def _refereed(self, method, pp):
+        ref = IndistRewriter(self.envs)
+        ref.sig_table = dict(self.sig_table)
+        ref.expr_table = dict(self.expr_table)
+        ref.evals = self.evals
+        bare = PartialProduction(pp.expr, pp.cost, pp.horizon_sum, pp.hole_nts, pp.hole_h)
+        assert bare.spine is None
+        want = getattr(IndistRewriter, method)(ref, bare)
+        got = getattr(IndistRewriter, method)(self, pp)
+        assert got.expr == want.expr, pp
+        assert (got is pp) == (want is bare), pp
+        assert self.evals == ref.evals, pp
+        assert len(self.sig_table) == len(ref.sig_table), pp
+        assert len(self.expr_table) == len(ref.expr_table), pp
+        if got is not pp:
+            assert got.spine == pp.spine
+            if pp.spine is not None:
+                self.changed[pp.spine[1]] += 1
+        return got
+
+    def rewrite_full(self, pp):
+        return self._refereed("rewrite_full", pp)
+
+    def rewrite_fast(self, pp):
+        return self._refereed("rewrite_fast", pp)
+
+
+@pytest.mark.parametrize("grammar", [two_sort_grammar, mixed_template_grammar])
+def test_spine_rewrite_matches_whole_tree_walk(grammar):
+    rw = _RefereedRewriter(_envs([2, 5, 7]))
+    en = Enumerator(grammar(), INT_NT, ASTAR, rewriter=rw, max_dequeues=3000)
+    take(en, 3000)
+    assert en.stats.dequeued == 3000
+    # both spine kinds rewrote something: a complete end node looked up, and
+    # a template walked (only the mixed grammar has templates worth walking)
+    assert rw.changed[True] > 0
+    assert (rw.changed[False] > 0) == (grammar is mixed_template_grammar)
+
+
+@pytest.mark.parametrize("grammar", [two_sort_grammar, mixed_template_grammar])
+def test_bookkeeping_after_rewriting_and_lazy_fill(grammar):
+    en = Enumerator(grammar(), INT_NT, ASTAR, rewriter=IndistRewriter(_envs([2, 5, 7])))
+    pushed = []
+    push = en.queue.push
+    en.queue.push = lambda pp: pushed.append(pp) or push(pp)
+    take(en, 2000)
+    assert en.stats.rewritten > 0 and len(pushed) == en.stats.pushed
+    for pp in pushed:
+        assert pp.derivation_key == to_sexpr(pp.expr)
+        assert pp.hole_nts == tuple(holes(pp.expr))
+        fresh = PartialProduction(pp.expr, pp.cost, pp.horizon_sum, pp.hole_nts)
+        assert pp.hole_pos == fresh.hole_pos
+        assert pp.hole_paths == fresh.hole_paths
 
 
 # ---------------------------------------------------------------------------
