@@ -58,6 +58,7 @@ from .lang import (
     Type,
     Value,
     Var,
+    compile_expr,
     evaluate,
     expr_from_sexpr,
     is_complete,
@@ -568,16 +569,22 @@ def verify(
     names = [n for n, _ in problem.inputs]
     example_inputs = {tuple(ex.env()[n] for n in names) for ex in problem.examples}
     x = problem.output_name
+    pc, run = compile_expr(problem.pc), compile_expr(t)
+    spec, full_spec = compile_expr(problem.spec), compile_expr(problem.full_spec)
     scanned = 0
+    # `v.__class__ is not BoolV or not v.value` is `v != TRUE_V` without a
+    # Python-level __eq__ call per point
     for env in bounded_points(problem.inputs, int_bound, list_bound):
-        if evaluate(problem.pc, env) != TRUE_V:
+        v = pc(env)
+        if v.__class__ is not BoolV or not v.value:
             continue
         scanned += 1
-        out = dict(env)
-        out[x] = evaluate(t, env)
-        on_example = example_inputs and tuple(env[n] for n in names) in example_inputs
-        spec = problem.full_spec if on_example else problem.spec
-        if evaluate(spec, out) != TRUE_V:
+        # bounded_points binds the inputs in order, each point in a fresh dict
+        on_example = example_inputs and tuple(env.values()) in example_inputs
+        env[x] = run(env)  # a validated problem's output shadows no input
+        v = (full_spec if on_example else spec)(env)
+        if v.__class__ is not BoolV or not v.value:
+            del env[x]
             return VerifyResult(
                 "counterexample", point=tuple(env.items()), scanned=scanned
             )

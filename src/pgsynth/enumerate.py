@@ -36,7 +36,7 @@ from .lang import (
     Nonterminal,
     Value,
     children,
-    evaluate,
+    compile_expr,
     hole_offsets,
     hole_paths,
     hole_print,
@@ -293,9 +293,6 @@ class DedupQueue:
     def pop_min(self) -> PartialProduction:
         return heapq.heappop(self._heap)[3]
 
-    def peek_priority(self) -> float:
-        return self._heap[0][0]
-
     def pps(self) -> Iterator[PartialProduction]:
         for _, _, _, pp in self._heap:
             yield pp
@@ -332,7 +329,7 @@ class IndistRewriter:
 
     def signature(self, e: Expr) -> tuple[Value, ...]:
         self.evals += 1
-        return tuple(evaluate(e, env) for env in self.envs)
+        return tuple(map(compile_expr(e), self.envs))
 
     def _represent(self, e: Expr) -> Expr:
         rep = self.expr_table.get(e)

@@ -5,15 +5,25 @@ Evaluation is strict except for `and` (left short-circuit) and `if` (only the
 taken branch runs). The only runtime error is head/tail of an empty list; it
 is reified as the value ErrV and propagates through strict operators.
 
-`partial_eval` evaluates expressions that still contain holes. It returns a
-definite Value only when every type-correct completion of the holes would
-evaluate to that value, and the UNKNOWN marker otherwise.
+Evaluation compiles once and runs many times: `compile_expr` turns an
+expression into a closure from environments to values, built from the
+operator table `partial_eval` also uses, and a scan over many points
+(verification, test generation, indistinguishability signatures) runs one
+closure on every point. `evaluate(e, env)` is compile-and-run. Expressions
+and values are immutable slotted nodes that cache their hash.
+
+`partial_eval` interprets expressions that still contain holes; search
+evaluates each candidate on a few points only, too few to repay compiling.
+A definite non-error Value means every type-correct completion of the holes
+evaluates to that value. A definite ErrV means every completion errs,
+possibly for another reason: a completion of a hole to the left of the error
+may err first. Otherwise it returns the UNKNOWN marker.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable
 
 from . import sexpr
@@ -159,110 +169,96 @@ class Nonterminal:
 
 
 # ---------------------------------------------------------------------------
+# Immutable nodes
+#
+# Expressions and values are built, hashed and compared millions of times a
+# run, so they are slotted classes instead of frozen dataclasses, made by
+# _node with a dataclass's constructor, __match_args__, repr and field
+# equality. The hash is the dataclass's (that of the field tuple), computed
+# on first use and cached in a slot.
+
+
+class _Node:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
+
+
+# fields are set through their slot descriptors, which bypass __setattr__
+_NODE_METHODS = """
+def __init__(self, {args}):
+{sets}    set__hash(self, None)
+def __eq__(self, o):
+    if self is o:
+        return True
+    if o.__class__ is not self.__class__:
+        return NotImplemented
+    return {eq}
+def __hash__(self):
+    h = self._hash
+    if h is None:
+        h = hash(({tup},))
+        set__hash(self, h)
+    return h
+"""
+
+
+def _node(name: str, base: type, *fields: str) -> type:
+    cls = type(name, (base,), {
+        "__slots__": (*fields, "_hash"), "__match_args__": fields, "__module__": __name__,
+    })
+    ns = {f"set_{f}": getattr(cls, f).__set__ for f in (*fields, "_hash")}
+    exec(_NODE_METHODS.format(
+        args=", ".join(fields),
+        sets="".join(f"    set_{f}(self, {f})\n" for f in fields),
+        eq=" and ".join(f"self.{f} == o.{f}" for f in fields),
+        tup=", ".join(f"self.{f}" for f in fields),
+    ), ns)
+    for method in ("__init__", "__eq__", "__hash__"):
+        setattr(cls, method, ns[method])
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 
 
-class Expr:
+class Expr(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntLit(Expr):
-    value: int
-
-
-@dataclass(frozen=True)
-class BoolLit(Expr):
-    value: bool
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Plus(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Minus(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Times(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Leq(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Eq(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class And(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Not(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Ite(Expr):
-    cond: Expr
-    then: Expr
-    other: Expr
-
-
-@dataclass(frozen=True)
-class Nil(Expr):
-    elem: Type
-
-
-@dataclass(frozen=True)
-class Cons(Expr):
-    head: Expr
-    tail: Expr
-
-
-@dataclass(frozen=True)
-class Head(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Tail(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class IsEmpty(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Size(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Hole(Expr):
-    nt: Nonterminal
+# leaves: an int, a bool, a name, the element Type of an empty list, and the
+# Nonterminal a hole stands for
+IntLit = _node("IntLit", Expr, "value")
+BoolLit = _node("BoolLit", Expr, "value")
+Var = _node("Var", Expr, "name")
+Nil = _node("Nil", Expr, "elem")
+Hole = _node("Hole", Expr, "nt")
+# operators: every field is an operand Expr
+Plus = _node("Plus", Expr, "left", "right")
+Minus = _node("Minus", Expr, "left", "right")
+Times = _node("Times", Expr, "left", "right")
+Leq = _node("Leq", Expr, "left", "right")
+Eq = _node("Eq", Expr, "left", "right")
+And = _node("And", Expr, "left", "right")
+Not = _node("Not", Expr, "arg")
+Ite = _node("Ite", Expr, "cond", "then", "other")
+Cons = _node("Cons", Expr, "head", "tail")
+Head = _node("Head", Expr, "arg")
+Tail = _node("Tail", Expr, "arg")
+IsEmpty = _node("IsEmpty", Expr, "arg")
+Size = _node("Size", Expr, "arg")
 
 
 # ast tag per operator class, used for S-expressions and corpus kind keys
@@ -284,10 +280,8 @@ def ast_tag(e: Expr) -> str:
 # children is on every hot path (search, evaluation, rewriting), so it
 # dispatches on the node class instead of pattern matching
 _CHILD_GETTERS: dict[type, Callable[[Expr], tuple[Expr, ...]]] = {
-    **{cls: operator.attrgetter("left", "right") for cls in _BINOPS},
+    **{cls: operator.attrgetter(*cls.__match_args__) for cls in (*_BINOPS, Ite)},
     **{cls: (lambda e: (e.arg,)) for cls in _UNOPS},
-    Cons: operator.attrgetter("head", "tail"),
-    Ite: operator.attrgetter("cond", "then", "other"),
 }
 
 
@@ -297,15 +291,8 @@ def children(e: Expr) -> tuple[Expr, ...]:
 
 
 def rebuild(e: Expr, kids: tuple[Expr, ...]) -> Expr:
-    cls = type(e)
-    if cls is Ite:
-        return Ite(*kids)
-    if cls in _BINOPS:
-        return cls(*kids)
-    if cls in _UNOPS:
-        return cls(*kids)
-    assert not kids
-    return e
+    """e with its operands replaced by kids; a leaf has none."""
+    return e.__class__(*kids) if kids else e
 
 
 def expr_size(e: Expr) -> int:
@@ -490,29 +477,14 @@ def parse_expr(text: str) -> Expr:
 # Values
 
 
-class Value:
+class Value(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntV(Value):
-    value: int
-
-
-@dataclass(frozen=True)
-class BoolV(Value):
-    value: bool
-
-
-@dataclass(frozen=True)
-class ListV(Value):
-    items: tuple[Value, ...]
-
-
-@dataclass(frozen=True)
-class ErrV(Value):
-    reason: str
-
+IntV = _node("IntV", Value, "value")
+BoolV = _node("BoolV", Value, "value")
+ListV = _node("ListV", Value, "items")  # a tuple of Values
+ErrV = _node("ErrV", Value, "reason")
 
 TRUE_V = BoolV(True)
 FALSE_V = BoolV(False)
@@ -681,94 +653,114 @@ _HEAD_EMPTY = ErrV("head of empty list")
 _TAIL_EMPTY = ErrV("tail of empty list")
 
 
-# the interpreters dispatch on node class: candidate scoring and the
-# verification scan evaluate millions of nodes, and a per-class table beats a
-# match statement several times over
+# candidate scoring and the verification scan evaluate millions of nodes;
+# both the compiler and partial_eval dispatch on node class through tables
 
 _STRICT_APPLY: dict[type, Callable[..., Value]] = {
     Plus: lambda a, b: IntV(a.value + b.value),
     Minus: lambda a, b: IntV(a.value - b.value),
     Times: lambda a, b: IntV(a.value * b.value),
-    Leq: lambda a, b: BoolV(a.value <= b.value),
-    Eq: lambda a, b: BoolV(a == b),
-    Not: lambda a: BoolV(not a.value),
+    Leq: lambda a, b: TRUE_V if a.value <= b.value else FALSE_V,
+    Eq: lambda a, b: TRUE_V if a == b else FALSE_V,
+    Not: lambda a: FALSE_V if a.value else TRUE_V,
     Cons: lambda a, b: ListV((a,) + b.items),
     Head: lambda a: a.items[0] if a.items else _HEAD_EMPTY,
     Tail: lambda a: ListV(a.items[1:]) if a.items else _TAIL_EMPTY,
-    IsEmpty: lambda a: BoolV(not a.items),
+    IsEmpty: lambda a: FALSE_V if a.items else TRUE_V,
     Size: lambda a: IntV(len(a.items)),
 }
 
 
 def evaluate(e: Expr, env: Env) -> Value:
-    f = _EVAL.get(e.__class__)
-    if f is None:
-        if e.__class__ is Hole:
-            raise EvalError("cannot evaluate an expression with holes")
+    return compile_expr(e)(env)
+
+
+def compile_expr(e: Expr) -> Callable[[Env], Value]:
+    """e as one closure from environments to values, to be run on many: a
+    literal folds to one shared Value and each operator becomes a closure
+    over its operands' closures. A hole or an unbound variable raises
+    EvalError only when the closure reaches it, so an untaken branch or a
+    short-circuited operand may hold one."""
+    cls = e.__class__
+    if cls is IntLit:
+        return _c_const(IntV(e.value))
+    if cls is BoolLit:
+        return _c_const(TRUE_V if e.value else FALSE_V)
+    if cls is Nil:
+        return _c_const(ListV(()))
+    if cls is Var:
+        return _c_var(e.name)
+    if cls is Hole:
+        return _c_hole
+    kids = [compile_expr(k) for k in children(e)]
+    if cls is And:
+        return _c_and(*kids)
+    if cls is Ite:
+        return _c_ite(*kids)
+    apply = _STRICT_APPLY.get(cls)
+    if apply is None:
         raise EvalError(f"unknown expression {e!r}")
-    return f(e, env)
+    return _c_strict2(apply, *kids) if len(kids) == 2 else _c_strict1(apply, *kids)
 
 
-def _ev_var(e: Var, env: Env) -> Value:
-    try:
-        return env[e.name]
-    except KeyError:
-        raise EvalError(f"unbound variable {e.name}") from None
+def _c_const(v: Value):
+    return lambda env: v
 
 
-def _ev_binop(apply, get) -> Callable[[Expr, Env], Value]:
+def _c_var(name: str):
+    def run(env):
+        try:
+            return env[name]
+        except KeyError:
+            raise EvalError(f"unbound variable {name}") from None
+
+    return run
+
+
+def _c_hole(env):
+    raise EvalError("cannot evaluate an expression with holes")
+
+
+def _c_strict2(apply, a, b):
     # both operands always run; errors propagate left-first
-    def ev(e, env):
-        a, b = get(e)
-        va = evaluate(a, env)
-        vb = evaluate(b, env)
+    def run(env):
+        va = a(env)
+        vb = b(env)
         if va.__class__ is ErrV:
             return va
         if vb.__class__ is ErrV:
             return vb
         return apply(va, vb)
 
-    return ev
+    return run
 
 
-def _ev_unop(apply) -> Callable[[Expr, Env], Value]:
-    def ev(e, env):
-        va = evaluate(e.arg, env)
-        if va.__class__ is ErrV:
+def _c_strict1(apply, a):
+    def run(env):
+        va = a(env)
+        return va if va.__class__ is ErrV else apply(va)
+
+    return run
+
+
+def _c_and(a, b):
+    def run(env):
+        va = a(env)
+        if va.__class__ is ErrV or (va.__class__ is BoolV and not va.value):
             return va
-        return apply(va)
+        return b(env)
 
-    return ev
-
-
-def _ev_and(e: And, env: Env) -> Value:
-    va = evaluate(e.left, env)
-    if va.__class__ is ErrV or va == FALSE_V:
-        return va
-    return evaluate(e.right, env)
+    return run
 
 
-def _ev_ite(e: Ite, env: Env) -> Value:
-    vc = evaluate(e.cond, env)
-    if vc.__class__ is ErrV:
-        return vc
-    return evaluate(e.then, env) if vc.value else evaluate(e.other, env)
+def _c_ite(c, t, o):
+    def run(env):
+        vc = c(env)
+        if vc.__class__ is ErrV:
+            return vc
+        return t(env) if vc.value else o(env)
 
-
-_EVAL: dict[type, Callable[[Expr, Env], Value]] = {
-    IntLit: lambda e, env: IntV(e.value),
-    BoolLit: lambda e, env: BoolV(e.value),
-    Var: _ev_var,
-    And: _ev_and,
-    Ite: _ev_ite,
-    Nil: lambda e, env: ListV(()),
-    **{
-        cls: _ev_binop(f, _CHILD_GETTERS[cls])
-        for cls, f in _STRICT_APPLY.items()
-        if cls in _BINOPS
-    },
-    **{cls: _ev_unop(f) for cls, f in _STRICT_APPLY.items() if cls in _UNOPS},
-}
+    return run
 
 
 def eval_trace(e: Expr, env: Env, path: tuple[int, ...] = (), visited: set | None = None):
@@ -800,14 +792,7 @@ def eval_trace(e: Expr, env: Env, path: tuple[int, ...] = (), visited: set | Non
     for v in vals:
         if isinstance(v, ErrV):
             return v, visited
-    return _apply_strict(e, vals), visited
-
-
-def _apply_strict(e: Expr, vals: list[Value]) -> Value:
-    f = _STRICT_APPLY.get(e.__class__)
-    if f is None:
-        raise EvalError(f"not a strict operator: {e!r}")
-    return f(*vals)
+    return _STRICT_APPLY[e.__class__](*vals), visited
 
 
 # ---------------------------------------------------------------------------
@@ -817,10 +802,12 @@ PartialEnv = dict[str, "Value | _Unknown"]
 
 
 def partial_eval(e: Expr, env: PartialEnv) -> "Value | _Unknown":
-    """Evaluate under holes. A definite Value means every completion of the
-    holes evaluates to it; UNKNOWN means the result still depends on them.
-    ErrV counts as definite: strict operators propagate it no matter what the
-    unknown parts turn out to be."""
+    """Evaluate under holes. A definite non-error Value means every
+    completion of the holes evaluates to it; UNKNOWN means the result still
+    depends on them. ErrV counts as definite, since strict operators
+    propagate an error whatever the unknown parts turn out to be: every
+    completion errs, though possibly for another reason, as a completed
+    hole left of the error may err first."""
     f = _PEVAL.get(e.__class__)
     if f is None:
         raise EvalError(f"unknown leaf {e!r}")

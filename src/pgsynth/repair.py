@@ -67,8 +67,8 @@ from .lang import (
     Value,
     Var,
     children,
+    compile_expr,
     eval_trace,
-    evaluate,
     expr_size,
     get_at,
     iter_subexprs,
@@ -192,10 +192,16 @@ class TestSuite:
         return tuple(p for p in self.points if _point_key(p) not in failing)
 
 
-def _passes(fn: FunctionDef, env: Point) -> bool:
-    out = dict(env)
-    out[RESULT_NAME] = evaluate(fn.body, env)
-    return evaluate(fn.ensures, out) == TRUE_V
+def _failing(fn: FunctionDef, points) -> tuple[Point, ...]:
+    """The points on which fn's body breaks its postcondition."""
+    body, ensures = compile_expr(fn.body), compile_expr(fn.ensures)
+    out = []
+    for env in points:
+        post = dict(env)
+        post[RESULT_NAME] = body(env)
+        if ensures(post) != TRUE_V:
+            out.append(env)
+    return tuple(out)
 
 
 def generate_tests(
@@ -210,7 +216,7 @@ def generate_tests(
     postcondition. User tests come first and must satisfy the precondition."""
     if fn.ensures is None:
         raise RepairError(f"def {fn.name} has no (ensures ...) contract")
-    pre = fn.requires
+    pre = None if fn.requires is None else compile_expr(fn.requires)
     total = math.prod(domain_size(t, int_bound, list_bound) for _, t in fn.params)
     if total > max_points:
         raise RepairError(
@@ -220,7 +226,7 @@ def generate_tests(
     user_keys: set[frozenset] = set()
     for raw in user_tests:
         env = dict(raw)
-        if pre is not None and evaluate(pre, env) != TRUE_V:
+        if pre is not None and pre(env) != TRUE_V:
             raise RepairError(
                 f"user test {sexpr.write([[n, _value_form(v)] for n, v in env.items()])} "
                 f"violates the precondition of {fn.name}"
@@ -231,14 +237,13 @@ def generate_tests(
             points.append(env)
     # bounded_points yields each valuation once: only a user test can repeat one
     for env in bounded_points(fn.params, int_bound, list_bound):
-        if pre is not None and evaluate(pre, env) != TRUE_V:
+        if pre is not None and pre(env) != TRUE_V:
             continue
         if _point_key(env) not in user_keys:
             points.append(env)
     if not points:
         raise RepairError("vacuous contract: no bounded input satisfies the precondition")
-    failing = tuple(p for p in points if not _passes(fn, p))
-    return TestSuite(tuple(points), failing)
+    return TestSuite(tuple(points), _failing(fn, points))
 
 
 def _value_form(v: Value):
@@ -371,16 +376,15 @@ def repair(
 ) -> RepairResult:
     """Try fault locations in localization order; at each, synthesize a
     replacement with the similar-term grammar first and the plain grammar on
-    failure, splice it in, and accept iff the regenerated tests all pass.
-    The plain grammar is the base (built-in when None) merged with a
+    failure, splice it in, and accept iff the result passes every test of
+    the suite. The plain grammar is the base (built-in when None) merged with a
     local-bias extraction of the program under repair. The result's
     wall_time covers the whole call."""
     t0 = time.monotonic()
     fn = task.program.find(task.function)
     if fn is None:
         raise RepairError(f"function {task.function} not found")
-    bounds = dict(int_bound=int_bound, list_bound=list_bound, max_points=max_points)
-    suite = generate_tests(fn, task.test_envs(), **bounds)
+    suite = generate_tests(fn, task.test_envs(), int_bound, list_bound, max_points)
     attempts: list[RepairAttempt] = []
 
     def finish(success, program, location, replacement, reason):
@@ -402,6 +406,8 @@ def repair(
 
     for path in locations:
         problem = location_problem(fn, path)
+        pc = compile_expr(problem.pc)
+        seeds = [a for a in suite.failing if pc(a) == TRUE_V][:max_seed_points]
         grammars = []
         if use_similar:
             broken = get_at(fn.body, path)
@@ -411,9 +417,6 @@ def repair(
         for label, gf in grammars:
             try:
                 g = normalize(desugar(gf, problem.scope, seed_types=(problem.output_type,)))
-                seeds = [
-                    a for a in suite.failing if evaluate(problem.pc, a) == TRUE_V
-                ][:max_seed_points]
                 res = cegis(
                     problem, g, mode,
                     int_bound=int_bound, list_bound=list_bound, max_points=max_points,
@@ -429,8 +432,10 @@ def repair(
                 break
         if spliced is None:
             continue
+        # the candidate keeps fn's parameters and contract, so generate_tests
+        # would make the suite's points for it again
         candidate = replace(fn, body=replace_at(fn.body, path, spliced))
-        if not generate_tests(candidate, task.test_envs(), **bounds).failing:
+        if not _failing(candidate, suite.points):
             return finish(
                 True, replace_function(task.program, candidate), path, spliced,
                 f"repaired at {path or 'the body root'}: {to_sexpr(spliced)}",

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -15,6 +18,8 @@ from pgsynth.lang import (
     Cons,
     Eq,
     ErrV,
+    EvalError,
+    Expr,
     Head,
     Hole,
     IntLit,
@@ -34,7 +39,9 @@ from pgsynth.lang import (
     Times,
     TypeCheckError,
     TypeVar,
+    Value,
     Var,
+    compile_expr,
     eval_trace,
     evaluate,
     expr_size,
@@ -258,7 +265,9 @@ def random_partial_expr(rng, depth, want):
 
 
 def test_partial_eval_soundness_against_all_completions():
-    # definite result => every completion evaluates to exactly that value
+    # a definite value => every completion evaluates to exactly that value; a
+    # definite error => every completion errs (the universes' only error is
+    # head of an empty list, so here the reason matches too)
     rng = random.Random(7)
     checked_definite = 0
     for _ in range(300):
@@ -272,6 +281,23 @@ def test_partial_eval_soundness_against_all_completions():
         for filled in completions(e):
             assert evaluate(filled, ENV) == r, to_sexpr(e)
     assert checked_definite > 30
+
+
+def test_partial_eval_definite_error_may_differ_by_reason():
+    # a hole left of the error can complete to an expression that errs first
+    e = parse_expr("(if (? Bool) (+ (? Int) (head (nil Int))) (head (nil Int)))")
+    assert partial_eval(e, {}) == ErrV("head of empty list")
+    tail_err = parse_expr("(head (tail (nil Int)))")
+    ints = [IntLit(0), X, tail_err, Head(Nil(INT))]
+    bools = [BoolLit(True), BoolLit(False), parse_expr("(isEmpty (tail (nil Int)))")]
+    reasons = set()
+    for b, i in itertools.product(bools, ints):
+        v = evaluate(replace_leftmost_hole(replace_leftmost_hole(e, b), i), ENV)
+        assert isinstance(v, ErrV), to_sexpr(e)
+        reasons.add(v.reason)
+    assert reasons == {"head of empty list", "tail of empty list"}
+    filled = parse_expr("(if true (+ (head (tail (nil Int))) (head (nil Int))) (head (nil Int)))")
+    assert evaluate(filled, {}) == ErrV("tail of empty list")
 
 
 def test_partial_eval_agrees_with_eval_on_complete_exprs():
@@ -460,3 +486,150 @@ def test_eval_agrees_with_sexpr_oracle():
         got = to_py(evaluate(e, env))
         want_v = oracle_eval_expr(e, {n: to_py(v) for n, v in env.items()})
         assert got == want_v, to_sexpr(e)
+
+
+def test_one_compiled_closure_serves_many_envs():
+    from oracle import oracle_eval_expr, to_py
+
+    rng = random.Random(29)
+    envs = [
+        {
+            "i": IntV(rng.randint(-4, 4)),
+            "j": IntV(rng.randint(-4, 4)),
+            "b": BoolV(rng.random() < 0.5),
+            "l": ListV(tuple(IntV(rng.randint(-2, 2)) for _ in range(rng.randint(0, 3)))),
+        }
+        for _ in range(24)
+    ]
+    for _ in range(150):
+        e = random_typed_expr(rng, 4, rng.choice([INT, BOOL, LIST_INT]))
+        run = compile_expr(e)
+        for env in envs:
+            want = oracle_eval_expr(e, {n: to_py(v) for n, v in env.items()})
+            assert to_py(run(env)) == want, to_sexpr(e)
+
+
+def test_compiled_holes_and_unbound_variables_raise_only_when_reached():
+    for text in [
+        "(if true 1 (? Int))",
+        "(if (<= x 0) nope x)",
+        "(if (isEmpty (nil Int)) x (+ (? Int) nope))",
+    ]:
+        assert compile_expr(parse_expr(text))(ENV) in (IntV(1), IntV(2)), text
+    for text in ["(and false (? Bool))", "(and (<= x 0) (= nope 1))"]:
+        assert compile_expr(parse_expr(text))(ENV) == FALSE_V, text
+    for text in [
+        "(if false 1 (? Int))",
+        "(+ nope 1)",
+        "(and true (? Bool))",
+        "(if (<= nope 0) 1 2)",
+        "(? Int)",
+    ]:
+        run = compile_expr(parse_expr(text))  # compiling never raises
+        with pytest.raises(EvalError):
+            run(ENV)
+    # one closure: the variable is looked up in each env it runs on
+    run = compile_expr(parse_expr("(+ y 1)"))
+    assert run({"y": IntV(4)}) == IntV(5)
+    with pytest.raises(EvalError, match="unbound variable y"):
+        run(ENV)
+
+
+def test_compiled_strict_operator_yields_the_left_error():
+    run = compile_expr(parse_expr("(+ (head (nil Int)) (head (tail (nil Int))))"))
+    assert run({}) == ErrV("head of empty list")
+    run = compile_expr(parse_expr("(+ (head (tail (nil Int))) (head (nil Int)))"))
+    assert run({}) == ErrV("tail of empty list")
+
+
+# ---------------------------------------------------------------------------
+# The node contract: immutable, equal by class and fields, dataclass repr
+
+
+NODE_SAMPLES = [
+    IntLit(3),
+    BoolLit(True),
+    Var("x"),
+    Plus(X, IntLit(1)),
+    Minus(X, IntLit(1)),
+    Times(X, IntLit(1)),
+    Leq(X, IntLit(1)),
+    Eq(X, IntLit(1)),
+    And(BoolLit(True), Leq(X, IntLit(0))),
+    Not(BoolLit(False)),
+    Ite(BoolLit(True), X, IntLit(0)),
+    Nil(INT),
+    Cons(IntLit(1), Nil(INT)),
+    Head(Nil(INT)),
+    Tail(Cons(X, Nil(INT))),
+    IsEmpty(Nil(BOOL)),
+    Size(Nil(INT)),
+    Hole(Nonterminal(INT, "nz")),
+    IntV(3),
+    BoolV(False),
+    ListV((IntV(1), IntV(-2))),
+    ErrV("head of empty list"),
+]
+
+
+def _fields(n):
+    return tuple(getattr(n, f) for f in n.__match_args__)
+
+
+def test_node_samples_cover_every_class():
+    classes = set(Expr.__subclasses__()) | set(Value.__subclasses__())
+    assert {type(n) for n in NODE_SAMPLES} == classes
+
+
+@pytest.mark.parametrize("node", NODE_SAMPLES, ids=lambda n: type(n).__name__)
+def test_node_is_immutable(node):
+    for f in node.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(node, f, getattr(node, f))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, f)
+    with pytest.raises(AttributeError):
+        node.extra = 1
+
+
+@pytest.mark.parametrize("node", NODE_SAMPLES, ids=lambda n: type(n).__name__)
+def test_node_equality_and_hash(node):
+    for twin in (type(node)(*_fields(node)), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert twin is not node
+        assert twin == node and not twin != node
+        assert hash(twin) == hash(node) == hash(_fields(node))
+    for other in NODE_SAMPLES:
+        cls = type(other)
+        if cls is not type(node) and cls.__match_args__ == node.__match_args__:
+            assert cls(*_fields(node)) != node
+
+
+@pytest.mark.parametrize("node", NODE_SAMPLES, ids=lambda n: type(n).__name__)
+def test_node_repr_is_the_dataclass_form(node):
+    cls = type(node)
+    ref = dataclasses.make_dataclass(cls.__name__, cls.__match_args__, frozen=True)
+    assert repr(node) == repr(ref(*_fields(node)))
+
+
+def test_node_repr_nests():
+    assert repr(Plus(X, IntLit(1))) == "Plus(left=Var(name='x'), right=IntLit(value=1))"
+
+
+@pytest.mark.parametrize("node", NODE_SAMPLES, ids=lambda n: type(n).__name__)
+def test_node_positional_match_binds_fields(node):
+    cls = type(node)
+    n = len(cls.__match_args__)
+    match node:
+        case cls(a) if n == 1:
+            got = (a,)
+        case cls(a, b) if n == 2:
+            got = (a, b)
+        case cls(a, b, c) if n == 3:
+            got = (a, b, c)
+        case _:
+            got = None
+    assert got == _fields(node)
+    for other in NODE_SAMPLES:
+        match other:
+            case cls():
+                assert type(other) is cls

@@ -36,6 +36,7 @@ from pgsynth.repair import (
     repair,
     similar_term_grammar,
 )
+from pgsynth import repair as repair_module
 from pgsynth.sexpr import MAX_DEPTH
 from oracle import oracle_eval_expr, oracle_points, to_py
 
@@ -445,6 +446,25 @@ def test_repair_buggy_abs():
     assert res.synthesis_calls >= 1 and res.dequeued > 0
     assert "repaired at" in res.reason
     check_repaired_abs(res, prog)
+
+
+def test_repair_generates_tests_once(monkeypatch):
+    # the final check classifies the suite's own points against the candidate
+    made = []
+    real = repair_module.generate_tests
+
+    def counting(fn, *args, **kwargs):
+        made.append(fn.name)
+        return real(fn, *args, **kwargs)
+
+    monkeypatch.setattr(repair_module, "generate_tests", counting)
+    user = ((("a", IntV(-3)),), (("a", IntV(20)),))
+    res = repair(RepairTask(buggy_abs(), "abs", user))
+    assert res.success and res.location == (2,)
+    assert made == ["abs"]
+    # the premise: the repaired function keeps the suite's points, all passing
+    fixed = real(res.program.find("abs"), [dict(t) for t in user])
+    assert not fixed.failing and len(fixed.points) == res.tests == 18
 
 
 def test_repair_wall_time_covers_the_whole_call():
