@@ -61,6 +61,7 @@ from .lang import (
     compile_expr,
     evaluate,
     expr_from_sexpr,
+    identifier,
     is_complete,
     magnitude,
     order_key,
@@ -168,6 +169,9 @@ class SynthesisProblem:
         for n, t in list(self.inputs) + [(self.output_name, self.output_type)]:
             if not type_is_ground(t):
                 raise ProblemError(f"{n} has non-ground type {type_str(t)}")
+        for what, e in (("path condition", self.pc), ("spec", self.spec)):
+            if not is_complete(e):
+                raise ProblemError(f"{what} contains a hole")
         scope = self.scope
         try:
             pc_t = type_of(self.pc, scope)
@@ -216,22 +220,11 @@ def _clauses(form, head: str, error: type[LangError] = ProblemError) -> dict[str
     return out
 
 
-def _ident(form) -> str:
-    if isinstance(form, Symbol):
-        try:
-            e = expr_from_sexpr(form)
-        except SexprError as err:
-            raise ProblemError(str(err)) from None
-        if isinstance(e, Var):
-            return str(form)
-    raise ProblemError(f"expected an identifier, got {sexpr.write(form)}")
-
-
 def _typed_pair(form) -> tuple[str, Type]:
     if not (isinstance(form, list) and len(form) == 2):
         raise ProblemError(f"expected (name Type), got {sexpr.write(form)}")
     try:
-        return _ident(form[0]), type_from_sexpr(form[1])
+        return identifier(form[0], ProblemError, "input name"), type_from_sexpr(form[1])
     except LangError as err:
         raise ProblemError(str(err)) from None
 
@@ -281,7 +274,7 @@ def _example(form) -> IoExample:
     for b in form[:sep]:
         if not (isinstance(b, list) and len(b) == 2):
             raise ProblemError(f"example binding must be (name value), got {sexpr.write(b)}")
-        bindings.append((_ident(b[0]), _literal_value(b[1])))
+        bindings.append((identifier(b[0], ProblemError, "input name"), _literal_value(b[1])))
     return IoExample(tuple(bindings), _literal_value(form[-1]))
 
 
@@ -306,7 +299,7 @@ def parse_problem(text: str) -> SynthesisProblem:
         if name in clauses and len(clauses[name]) != 1:
             raise ProblemError(f"{name} clause takes exactly one expression")
     inputs = tuple(_typed_pair(f) for f in clauses.get("inputs", []))
-    out_name = _ident(clauses["output"][0])
+    out_name = identifier(clauses["output"][0], ProblemError, "output name")
     try:
         out_type = type_from_sexpr(clauses["output"][1])
     except LangError as err:

@@ -25,34 +25,25 @@ from typing import Iterable, Sequence
 from . import sexpr
 from .grammarfile import GrammarFile, LabelDecl, RawProduction
 from .lang import (
+    A,
     BOOL,
     INT,
-    And,
+    OPERATORS,
     BoolLit,
-    Cons,
-    Eq,
     Expr,
-    Head,
     IntLit,
-    IsEmpty,
-    Ite,
     LangError,
-    Leq,
     ListType,
-    Minus,
     Nil,
     Nonterminal,
-    Not,
-    Plus,
-    Size,
-    Tail,
-    Times,
     Type,
     Var,
     children,
     expr_from_sexpr,
+    identifier,
     is_complete,
     iter_subexprs,
+    subst_type,
     to_sexpr,
     type_from_sexpr,
     type_is_ground,
@@ -134,22 +125,11 @@ class CorpusProgram:
 # Parsing
 
 
-def _ident(form, what: str) -> str:
-    if isinstance(form, Symbol):
-        try:
-            e = expr_from_sexpr(form)
-        except (SexprError, LangError):
-            e = None
-        if isinstance(e, Var):
-            return str(form)
-    raise CorpusError(f"invalid {what} {sexpr.write(form)}")
-
-
 def _parse_param(form) -> tuple[str, Type]:
     if not (isinstance(form, list) and len(form) == 2):
         raise CorpusError(f"parameter must be (name Type), got {sexpr.write(form)}")
     try:
-        return _ident(form[0], "parameter name"), type_from_sexpr(form[1])
+        return identifier(form[0], CorpusError, "parameter name"), type_from_sexpr(form[1])
     except LangError as err:
         raise CorpusError(str(err)) from None
 
@@ -180,7 +160,7 @@ def parse_def(form) -> FunctionDef:
         raise CorpusError(f"expected a (def ...) form, got {sexpr.write(form)}")
     if len(form) < 6:
         raise CorpusError("truncated def: expected (def name ((p T) ...) -> T body)")
-    name = _ident(form[1], "function name")
+    name = identifier(form[1], CorpusError, "function name")
     if not isinstance(form[2], list):
         raise CorpusError(f"def {name}: expected a ((p T) ...) parameter list")
     params = tuple(_parse_param(p) for p in form[2])
@@ -287,81 +267,35 @@ class ExprKind:
     inst: Type | None = None
 
 
-_OP_CLASSES = {
-    "Plus": Plus, "Minus": Minus, "Times": Times, "Leq": Leq, "Eq": Eq,
-    "And": And, "Not": Not, "Ite": Ite, "Cons": Cons, "Head": Head,
-    "Tail": Tail, "IsEmpty": IsEmpty, "Size": Size,
-}
-_OP_TAGS = {
-    "Plus": "plus", "Minus": "minus", "Times": "times", "Leq": "leq",
-    "Eq": "eq", "And": "and", "Not": "not", "Ite": "if", "Cons": "cons",
-    "Nil": "nil", "Head": "head", "Tail": "tail", "IsEmpty": "isEmpty",
-    "Size": "size",
-}
+_OPS = {cls.__name__: op for cls, op in OPERATORS.items()}
 # commutative on values; And is excluded because it short-circuits errors
 _COMMUTATIVE = {"Plus", "Times", "Eq"}
-_MONO_CHILD_TYPES = {
-    "Plus": (INT, INT), "Minus": (INT, INT), "Times": (INT, INT),
-    "Leq": (INT, INT), "And": (BOOL, BOOL), "Not": (BOOL,),
-}
 
 
-def _node_type(e: Expr, kid_types: tuple[Type, ...], scope: dict[str, Type]) -> Type:
+def _rule_tag(name: str) -> str:
+    # the axiom vocabulary: the surface tag of a word operator (if, isEmpty,
+    # ...), else the class name in lower case (plus, minus, times, leq, eq)
+    tag = _OPS[name].tag
+    return tag if tag.isalpha() else name.lower()
+
+
+def _classify(e: Expr, kid_types: list[Type], scope: dict[str, Type]) -> ExprKind:
+    """e's kind; an operator's inst is the binding of its signature's 'a."""
     cls = e.__class__
     if cls is Var:
-        return scope[e.name]
-    if cls is IntLit:
-        return INT
-    if cls is BoolLit:
-        return BOOL
-    if cls is Nil:
-        return ListType(e.elem)
-    if cls in (Plus, Minus, Times, Size):
-        return INT
-    if cls in (Leq, Eq, And, Not, IsEmpty):
-        return BOOL
-    if cls in (Ite, Cons):
-        return kid_types[1]
-    if cls is Head:
-        return kid_types[0].elem
-    if cls is Tail:
-        return kid_types[0]
-    raise CorpusError(f"cannot extract from {e!r}")
-
-
-def _classify(e: Expr, t: Type, kid_types: tuple[Type, ...]) -> ExprKind:
-    cls = e.__class__
-    if cls is Var:
-        return ExprKind("variable", t)
-    if cls in (IntLit, BoolLit):
-        return ExprKind("literal", t, value=e.value)
-    inst: Type | None = None
-    if cls is Eq or cls is Cons:
-        inst = kid_types[0]
-    elif cls is Ite or cls is Head:
-        inst = t
-    elif cls is Nil:
-        inst = e.elem
-    elif cls is Tail:
-        inst = t.elem
-    elif cls is IsEmpty or cls is Size:
-        inst = kid_types[0].elem
-    return ExprKind("operator", t, op=cls.__name__, inst=inst)
+        return ExprKind("variable", scope[e.name])
+    if cls is IntLit or cls is BoolLit:
+        return ExprKind("literal", INT if cls is IntLit else BOOL, value=e.value)
+    op = OPERATORS.get(cls)
+    if op is None:
+        raise CorpusError(f"cannot extract from {e!r}")
+    sub = op.bind(e, kid_types)
+    return ExprKind("operator", subst_type(op.result, sub), op=cls.__name__, inst=sub.get(A.name))
 
 
 def _kind_child_types(k: ExprKind) -> tuple[Type, ...]:
-    mono = _MONO_CHILD_TYPES.get(k.op)
-    if mono is not None:
-        return mono
-    if k.op == "Eq":
-        return (k.inst, k.inst)
-    if k.op == "Ite":
-        return (BOOL, k.inst, k.inst)
-    if k.op == "Cons":
-        return (k.inst, ListType(k.inst))
-    if k.op == "Nil":
-        return ()
-    return (ListType(k.inst),)  # Head, Tail, IsEmpty, Size
+    sub = {} if k.inst is None else {A.name: k.inst}
+    return tuple(subst_type(p, sub) for p in _OPS[k.op].params)
 
 
 def _kind_body(k: ExprKind) -> Expr:
@@ -369,8 +303,8 @@ def _kind_body(k: ExprKind) -> Expr:
         return BoolLit(k.value) if k.rtype == BOOL else IntLit(k.value)
     if k.op == "Nil":
         return Nil(k.inst)
-    args = tuple(Var(f"v{i}") for i in range(len(_kind_child_types(k))))
-    return _OP_CLASSES[k.op](*args)
+    args = tuple(Var(f"v{i}") for i in range(len(_OPS[k.op].params)))
+    return _OPS[k.op].cls(*args)
 
 
 def _tslug(t: Type) -> str:
@@ -408,12 +342,10 @@ def _kind_sort_key(k: ExprKind) -> tuple:
 # a context is (parent AST class name, child position), or None at top level
 def _visit(e: Expr, scope: dict[str, Type], ctx, sink) -> Type:
     tag = e.__class__.__name__
-    kid_types = tuple(
-        _visit(kid, scope, (tag, i), sink) for i, kid in enumerate(children(e))
-    )
-    t = _node_type(e, kid_types, scope)
-    sink(_classify(e, t, kid_types), ctx)
-    return t
+    kid_types = [_visit(kid, scope, (tag, i), sink) for i, kid in enumerate(children(e))]
+    kind = _classify(e, kid_types, scope)
+    sink(kind, ctx)
+    return kind.rtype
 
 
 def _count_kinds(programs: Iterable[CorpusProgram], sink) -> None:
@@ -434,7 +366,7 @@ def _depth1_tags(k: ExprKind) -> frozenset[str]:
         if k.value == 0 and k.rtype == INT:
             tags.add("0")
         return frozenset(tags)
-    tags = {_OP_TAGS[k.op]}
+    tags = {_rule_tag(k.op)}
     if k.op in _COMMUTATIVE:
         tags.add("commut")
     return frozenset(tags)

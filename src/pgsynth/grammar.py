@@ -354,6 +354,11 @@ def apply_axioms(g: Pcfg, axioms=("0", "commut", "const")) -> Pcfg:
     right top rule.
     "const": arithmetic operand pairs that would both derive const-tagged
     rules are excluded (the fold is redundant).
+
+    Only tests apply it: no path in cegis, repair or the benchmark does.
+    It is not a uniform gain, so it stays off: with all three axioms, the
+    max-of-3 search fell from 291k dequeues to 214k, but max-2's rose from
+    5,931 to 6,380.
     """
     rules = list(g.all_rules())
     if "0" in axioms:

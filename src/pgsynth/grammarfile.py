@@ -30,6 +30,7 @@ from .grammar import (
     split_variable_rules,
 )
 from .lang import (
+    RESERVED_WORDS,
     Expr,
     Hole,
     LangError,
@@ -79,9 +80,7 @@ class GrammarFile:
 
 _KEYWORDS = {"label", "production", "variable", "->"}
 # words that would collide with expression or type syntax
-_TAKEN = _KEYWORDS | {"Int", "Bool", "List", "true", "false", "if", "nil", "?",
-                      "+", "-", "*", "<=", "=", "and", "not", "cons", "head",
-                      "tail", "isEmpty", "size"}
+_TAKEN = _KEYWORDS | {"Int", "Bool", "List"} | RESERVED_WORDS
 
 
 def _check_ident(word, what: str, lineno: int) -> str:

@@ -1,16 +1,23 @@
 """The object language: a small pure expression language over ints, bools,
 and lists, with typed holes.
 
+Every operator is declared once, as an `Operator` record in `OPERATORS`: its
+node class and operand fields, its surface tag, its type signature over the
+one type variable 'a, and its strict apply (none for the lazy `and` and
+`if`). Parsing, printing, the reserved words, `type_of`, `children`,
+`partial_eval`, `compile_expr` and corpus kinds are all read off that table.
+
 Evaluation is strict except for `and` (left short-circuit) and `if` (only the
 taken branch runs). The only runtime error is head/tail of an empty list; it
 is reified as the value ErrV and propagates through strict operators.
 
 Evaluation compiles once and runs many times: `compile_expr` turns an
-expression into a closure from environments to values, built from the
-operator table `partial_eval` also uses, and a scan over many points
-(verification, test generation, indistinguishability signatures) runs one
-closure on every point. `evaluate(e, env)` is compile-and-run. Expressions
-and values are immutable slotted nodes that cache their hash.
+expression into a closure from environments to values, and a scan over many
+points (verification, test generation, indistinguishability signatures) runs
+one closure on every point. `evaluate(e, env)` is compile-and-run, and
+`eval_trace` runs the same closures with a hook that records each node
+reached. Expressions and values are immutable slotted nodes that cache their
+hash.
 
 `partial_eval` interprets expressions that still contain holes; search
 evaluates each candidate on a few points only, too few to repay compiling.
@@ -24,7 +31,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple
 
 from . import sexpr
 from .sexpr import Symbol
@@ -231,6 +239,37 @@ def _node(name: str, base: type, *fields: str) -> type:
 
 
 # ---------------------------------------------------------------------------
+# Values
+
+
+class Value(_Node):
+    __slots__ = ()
+
+
+IntV = _node("IntV", Value, "value")
+BoolV = _node("BoolV", Value, "value")
+ListV = _node("ListV", Value, "items")  # a tuple of Values
+ErrV = _node("ErrV", Value, "reason")
+
+TRUE_V = BoolV(True)
+FALSE_V = BoolV(False)
+_HEAD_EMPTY = ErrV("head of empty list")
+_TAIL_EMPTY = ErrV("tail of empty list")
+
+
+class _Unknown:
+    """Result of partially evaluating an expression whose value depends on holes."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "UNKNOWN"
+
+
+UNKNOWN = _Unknown()
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 
 
@@ -238,50 +277,93 @@ class Expr(_Node):
     __slots__ = ()
 
 
-# leaves: an int, a bool, a name, the element Type of an empty list, and the
-# Nonterminal a hole stands for
+# leaves: an int, a bool, a name, and the Nonterminal a hole stands for
 IntLit = _node("IntLit", Expr, "value")
 BoolLit = _node("BoolLit", Expr, "value")
 Var = _node("Var", Expr, "name")
-Nil = _node("Nil", Expr, "elem")
 Hole = _node("Hole", Expr, "nt")
-# operators: every field is an operand Expr
-Plus = _node("Plus", Expr, "left", "right")
-Minus = _node("Minus", Expr, "left", "right")
-Times = _node("Times", Expr, "left", "right")
-Leq = _node("Leq", Expr, "left", "right")
-Eq = _node("Eq", Expr, "left", "right")
-And = _node("And", Expr, "left", "right")
-Not = _node("Not", Expr, "arg")
-Ite = _node("Ite", Expr, "cond", "then", "other")
-Cons = _node("Cons", Expr, "head", "tail")
-Head = _node("Head", Expr, "arg")
-Tail = _node("Tail", Expr, "arg")
-IsEmpty = _node("IsEmpty", Expr, "arg")
-Size = _node("Size", Expr, "arg")
 
 
-# ast tag per operator class, used for S-expressions and corpus kind keys
-_BINOPS = {Plus: "+", Minus: "-", Times: "*", Leq: "<=", Eq: "=", And: "and", Cons: "cons"}
-_UNOPS = {Not: "not", Head: "head", Tail: "tail", IsEmpty: "isEmpty", Size: "size"}
-_BINOP_BY_TAG = {tag: cls for cls, tag in _BINOPS.items()}
-_UNOP_BY_TAG = {tag: cls for cls, tag in _UNOPS.items()}
+class Operator(NamedTuple):  # not a dataclass, which takes 0.8 ms of each import to define
+    """One operator of the language. Its node's fields are the operand
+    fields, typed by `params`, then for `nil` only `type_field`, the element
+    Type that binds 'a. `apply` maps operand values to the result; it is
+    None for the lazy `and` and `if`, which the evaluators spell out."""
+
+    cls: type
+    tag: str
+    operands: tuple[str, ...]
+    params: tuple[Type, ...]
+    result: Type
+    apply: Callable[..., Value] | None
+    type_field: str | None = None
+
+    def bind(self, e: Expr, kid_types: Iterable[Type]) -> dict[str, Type]:
+        """The binding of the signature's type variable at node e, whose
+        operands have kid_types; TypeCheckError names the first operand
+        that does not fit."""
+        sub = {} if self.type_field is None else {A.name: getattr(e, self.type_field)}
+        for param, kid, t in zip(self.params, children(e), kid_types):
+            if not match_type(param, t, sub):
+                want = type_str(subst_type(param, sub))
+                raise TypeCheckError(f"{self.tag}: expected {want}, found {type_str(t)}", kid)
+        return sub
 
 
-def ast_tag(e: Expr) -> str:
-    cls = type(e)
-    if cls in _BINOPS:
-        return _BINOPS[cls]
-    if cls in _UNOPS:
-        return _UNOPS[cls]
-    return {IntLit: "int", BoolLit: "bool", Var: "var", Ite: "if", Nil: "nil", Hole: "?"}[cls]
+OPERATORS: dict[type, Operator] = {}
+OPERATOR_BY_TAG: dict[str, Operator] = {}
+
+
+def _operator(name, tag, operands, params, result, apply, type_field=None) -> type:
+    fields = operands if type_field is None else (*operands, type_field)
+    cls = _node(name, Expr, *fields)
+    op = Operator(cls, tag, operands, params, result, apply, type_field)
+    OPERATORS[cls] = OPERATOR_BY_TAG[tag] = op
+    return cls
+
+
+A = TypeVar("a")
+_LIST_A = ListType(A)
+_BIN = ("left", "right")
+_UN = ("arg",)
+
+# class name, surface tag, operand fields, parameter types, result type, apply
+Plus = _operator("Plus", "+", _BIN, (INT, INT), INT, lambda a, b: IntV(a.value + b.value))
+Minus = _operator("Minus", "-", _BIN, (INT, INT), INT, lambda a, b: IntV(a.value - b.value))
+Times = _operator("Times", "*", _BIN, (INT, INT), INT, lambda a, b: IntV(a.value * b.value))
+Leq = _operator(
+    "Leq", "<=", _BIN, (INT, INT), BOOL, lambda a, b: TRUE_V if a.value <= b.value else FALSE_V
+)
+Eq = _operator("Eq", "=", _BIN, (A, A), BOOL, lambda a, b: TRUE_V if a == b else FALSE_V)
+And = _operator("And", "and", _BIN, (BOOL, BOOL), BOOL, None)
+Not = _operator("Not", "not", _UN, (BOOL,), BOOL, lambda a: FALSE_V if a.value else TRUE_V)
+Ite = _operator("Ite", "if", ("cond", "then", "other"), (BOOL, A, A), A, None)
+Nil = _operator("Nil", "nil", (), (), _LIST_A, lambda: ListV(()), type_field="elem")
+Cons = _operator(
+    "Cons", "cons", ("head", "tail"), (A, _LIST_A), _LIST_A, lambda a, b: ListV((a,) + b.items)
+)
+Head = _operator(
+    "Head", "head", _UN, (_LIST_A,), A, lambda a: a.items[0] if a.items else _HEAD_EMPTY
+)
+Tail = _operator(
+    "Tail", "tail", _UN, (_LIST_A,), _LIST_A,
+    lambda a: ListV(a.items[1:]) if a.items else _TAIL_EMPTY,
+)
+IsEmpty = _operator(
+    "IsEmpty", "isEmpty", _UN, (_LIST_A,), BOOL, lambda a: FALSE_V if a.items else TRUE_V
+)
+Size = _operator("Size", "size", _UN, (_LIST_A,), INT, lambda a: IntV(len(a.items)))
+
+
+def _getter(fields: tuple[str, ...]) -> Callable[[Expr], tuple[Expr, ...]]:
+    # read from source, so each field is a plain attribute load
+    return eval(f"lambda e: ({''.join(f'e.{f}, ' for f in fields)})")
 
 
 # children is on every hot path (search, evaluation, rewriting), so it
 # dispatches on the node class instead of pattern matching
 _CHILD_GETTERS: dict[type, Callable[[Expr], tuple[Expr, ...]]] = {
-    **{cls: operator.attrgetter(*cls.__match_args__) for cls in (*_BINOPS, Ite)},
-    **{cls: (lambda e: (e.arg,)) for cls in _UNOPS},
+    cls: _getter(op.operands) for cls, op in OPERATORS.items() if op.operands
 }
 
 
@@ -350,9 +432,13 @@ def _collect_holes(e: Expr, out: list[Nonterminal]) -> None:
 
 
 def is_complete(e: Expr) -> bool:
+    # a loop, not all() over a generator: one stack frame per level
     if isinstance(e, Hole):
         return False
-    return all(is_complete(c) for c in children(e))
+    for c in children(e):
+        if not is_complete(c):
+            return False
+    return True
 
 
 def replace_leftmost_hole(e: Expr, replacement: Expr) -> Expr:
@@ -379,24 +465,23 @@ def _replace_leftmost(e: Expr, replacement: Expr) -> tuple[bool, Expr]:
 
 
 def expr_to_sexpr(e: Expr):
-    match e:
-        case IntLit(v):
-            return v
-        case BoolLit(v):
-            return Symbol("true" if v else "false")
-        case Var(name):
-            return Symbol(name)
-        case Nil(t):
-            return [Symbol("nil"), type_to_sexpr(t)]
-        case Ite(c, t, o):
-            return [Symbol("if"), expr_to_sexpr(c), expr_to_sexpr(t), expr_to_sexpr(o)]
-        case Hole(nt):
-            out = [Symbol("?"), type_to_sexpr(nt.base)]
-            if nt.attr is not None:
-                out.append(Symbol(nt.attr))
-            return out
-    tag = ast_tag(e)
-    return [Symbol(tag)] + [expr_to_sexpr(c) for c in children(e)]
+    cls = e.__class__
+    if cls is IntLit:
+        return e.value
+    if cls is BoolLit:
+        return Symbol("true" if e.value else "false")
+    if cls is Var:
+        return Symbol(e.name)
+    if cls is Hole:
+        out = [Symbol("?"), type_to_sexpr(e.nt.base)]
+        if e.nt.attr is not None:
+            out.append(Symbol(e.nt.attr))
+        return out
+    op = OPERATORS[cls]
+    out = [Symbol(op.tag)] + [expr_to_sexpr(c) for c in children(e)]
+    if op.type_field is not None:
+        out.append(type_to_sexpr(getattr(e, op.type_field)))
+    return out
 
 
 def to_sexpr(e: Expr) -> str:
@@ -427,7 +512,16 @@ def hole_offsets(text: str, nts: tuple[Nonterminal, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-_RESERVED = {"true", "false", "if", "nil", "?", "and", "not"} | set(_BINOP_BY_TAG) | set(_UNOP_BY_TAG)
+# words an expression gives a meaning to, so no variable may take them
+RESERVED_WORDS = frozenset({"true", "false", "?", *OPERATOR_BY_TAG})
+
+
+def identifier(form, error: type[Exception] = sexpr.SexprError, what: str = "variable") -> str:
+    """The name form spells if it is a symbol a variable may take; otherwise
+    the caller's own error, naming what was wanted."""
+    if isinstance(form, Symbol) and form not in RESERVED_WORDS and not form.startswith("'"):
+        return str(form)
+    raise error(f"invalid {what} {sexpr.write(form)}")
 
 
 def expr_from_sexpr(form) -> Expr:
@@ -438,30 +532,25 @@ def expr_from_sexpr(form) -> Expr:
             return BoolLit(True)
         if form == "false":
             return BoolLit(False)
-        if form in _RESERVED or form.startswith("'"):
-            raise sexpr.SexprError(f"reserved word used as variable: {form}")
-        return Var(str(form))
+        return Var(identifier(form))
     if not isinstance(form, list) or not form or not isinstance(form[0], Symbol):
         raise sexpr.SexprError(f"malformed expression {sexpr.write(form)}")
     head, *args = form
-    if head == "if":
-        _arity(form, 3)
-        return Ite(*(expr_from_sexpr(a) for a in args))
-    if head == "nil":
-        _arity(form, 1)
-        return Nil(type_from_sexpr(args[0]))
     if head == "?":
         if len(args) == 1:
             return Hole(Nonterminal(type_from_sexpr(args[0])))
         _arity(form, 2)
+        if not isinstance(args[1], Symbol):
+            raise sexpr.SexprError(f"hole attribute must be a symbol: {sexpr.write(form)}")
         return Hole(Nonterminal(type_from_sexpr(args[0]), str(args[1])))
-    if str(head) in _BINOP_BY_TAG:
-        _arity(form, 2)
-        return _BINOP_BY_TAG[str(head)](expr_from_sexpr(args[0]), expr_from_sexpr(args[1]))
-    if str(head) in _UNOP_BY_TAG:
-        _arity(form, 1)
-        return _UNOP_BY_TAG[str(head)](expr_from_sexpr(args[0]))
-    raise sexpr.SexprError(f"unknown operator {head}")
+    op = OPERATOR_BY_TAG.get(str(head))
+    if op is None:
+        raise sexpr.SexprError(f"unknown operator {head}")
+    _arity(form, len(op.cls.__match_args__))
+    fields = [expr_from_sexpr(a) for a in args[: len(op.operands)]]
+    if op.type_field is not None:
+        fields.append(type_from_sexpr(args[-1]))
+    return op.cls(*fields)
 
 
 def _arity(form: list, n: int) -> None:
@@ -474,32 +563,7 @@ def parse_expr(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Values
-
-
-class Value(_Node):
-    __slots__ = ()
-
-
-IntV = _node("IntV", Value, "value")
-BoolV = _node("BoolV", Value, "value")
-ListV = _node("ListV", Value, "items")  # a tuple of Values
-ErrV = _node("ErrV", Value, "reason")
-
-TRUE_V = BoolV(True)
-FALSE_V = BoolV(False)
-
-
-class _Unknown:
-    """Result of partially evaluating an expression whose value depends on holes."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "UNKNOWN"
-
-
-UNKNOWN = _Unknown()
+# Value helpers
 
 
 def value_to_expr(v: Value, t: Type) -> Expr:
@@ -573,102 +637,32 @@ Scope = dict[str, Type]
 
 
 def type_of(e: Expr, scope: Scope) -> Type:
-    match e:
-        case IntLit(_):
-            return INT
-        case BoolLit(_):
-            return BOOL
-        case Var(name):
-            if name not in scope:
-                raise TypeCheckError(f"unbound variable {name}", e)
-            return scope[name]
-        case Plus(a, b) | Minus(a, b) | Times(a, b):
-            _expect(a, INT, scope)
-            _expect(b, INT, scope)
-            return INT
-        case Leq(a, b):
-            _expect(a, INT, scope)
-            _expect(b, INT, scope)
-            return BOOL
-        case Eq(a, b):
-            ta, tb = type_of(a, scope), type_of(b, scope)
-            if ta != tb:
-                raise TypeCheckError(f"= applied to {type_str(ta)} and {type_str(tb)}", e)
-            return BOOL
-        case And(a, b):
-            _expect(a, BOOL, scope)
-            _expect(b, BOOL, scope)
-            return BOOL
-        case Not(a):
-            _expect(a, BOOL, scope)
-            return BOOL
-        case Ite(c, t, o):
-            _expect(c, BOOL, scope)
-            tt, to = type_of(t, scope), type_of(o, scope)
-            if tt != to:
-                raise TypeCheckError(f"if branches differ: {type_str(tt)} vs {type_str(to)}", e)
-            return tt
-        case Nil(t):
-            return ListType(t)
-        case Cons(h, t):
-            th = type_of(h, scope)
-            tt = type_of(t, scope)
-            if tt != ListType(th):
-                raise TypeCheckError(f"cons of {type_str(th)} onto {type_str(tt)}", e)
-            return tt
-        case Head(a):
-            return _expect_list(a, scope).elem
-        case Tail(a):
-            return _expect_list(a, scope)
-        case IsEmpty(a):
-            _expect_list(a, scope)
-            return BOOL
-        case Size(a):
-            _expect_list(a, scope)
-            return INT
-        case Hole(nt):
-            return nt.base
+    """e's type: an operator's operands are typed and matched against its
+    signature left to right, and the result is the signature's under the
+    binding of 'a."""
+    cls = e.__class__
+    op = OPERATORS.get(cls)
+    if op is not None:
+        # bind pulls each operand's type just before matching it
+        kid_types = map(type_of, children(e), repeat(scope))
+        return subst_type(op.result, op.bind(e, kid_types))
+    if cls is IntLit:
+        return INT
+    if cls is BoolLit:
+        return BOOL
+    if cls is Hole:
+        return e.nt.base
+    if cls is Var:
+        if e.name not in scope:
+            raise TypeCheckError(f"unbound variable {e.name}", e)
+        return scope[e.name]
     raise TypeCheckError(f"unknown expression {e!r}", e)
-
-
-def _expect(e: Expr, t: Type, scope: Scope) -> None:
-    actual = type_of(e, scope)
-    if actual != t:
-        raise TypeCheckError(f"expected {type_str(t)}, found {type_str(actual)}", e)
-
-
-def _expect_list(e: Expr, scope: Scope) -> ListType:
-    actual = type_of(e, scope)
-    if not isinstance(actual, ListType):
-        raise TypeCheckError(f"expected a list, found {type_str(actual)}", e)
-    return actual
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 Env = dict[str, Value]
-
-_HEAD_EMPTY = ErrV("head of empty list")
-_TAIL_EMPTY = ErrV("tail of empty list")
-
-
-# candidate scoring and the verification scan evaluate millions of nodes;
-# both the compiler and partial_eval dispatch on node class through tables
-
-_STRICT_APPLY: dict[type, Callable[..., Value]] = {
-    Plus: lambda a, b: IntV(a.value + b.value),
-    Minus: lambda a, b: IntV(a.value - b.value),
-    Times: lambda a, b: IntV(a.value * b.value),
-    Leq: lambda a, b: TRUE_V if a.value <= b.value else FALSE_V,
-    Eq: lambda a, b: TRUE_V if a == b else FALSE_V,
-    Not: lambda a: FALSE_V if a.value else TRUE_V,
-    Cons: lambda a, b: ListV((a,) + b.items),
-    Head: lambda a: a.items[0] if a.items else _HEAD_EMPTY,
-    Tail: lambda a: ListV(a.items[1:]) if a.items else _TAIL_EMPTY,
-    IsEmpty: lambda a: FALSE_V if a.items else TRUE_V,
-    Size: lambda a: IntV(len(a.items)),
-}
 
 
 def evaluate(e: Expr, env: Env) -> Value:
@@ -681,33 +675,54 @@ def compile_expr(e: Expr) -> Callable[[Env], Value]:
     over its operands' closures. A hole or an unbound variable raises
     EvalError only when the closure reaches it, so an untaken branch or a
     short-circuited operand may hold one."""
-    cls = e.__class__
-    if cls is IntLit:
-        return _c_const(IntV(e.value))
-    if cls is BoolLit:
-        return _c_const(TRUE_V if e.value else FALSE_V)
-    if cls is Nil:
-        return _c_const(ListV(()))
-    if cls is Var:
-        return _c_var(e.name)
-    if cls is Hole:
-        return _c_hole
-    kids = [compile_expr(k) for k in children(e)]
-    if cls is And:
-        return _c_and(*kids)
-    if cls is Ite:
-        return _c_ite(*kids)
-    apply = _STRICT_APPLY.get(cls)
-    if apply is None:
-        raise EvalError(f"unknown expression {e!r}")
-    return _c_strict2(apply, *kids) if len(kids) == 2 else _c_strict1(apply, *kids)
+    get = _CHILD_GETTERS.get(e.__class__)
+    if get is None:
+        return _COMPILE.get(e.__class__, _c_unknown)(e)
+    return _COMPILE[e.__class__](e, *map(compile_expr, get(e)))
+
+
+def eval_trace(e: Expr, env: Env) -> tuple[Value, set[tuple[int, ...]]]:
+    """Like evaluate, but also returns the path of every subexpression that
+    actually ran (untaken if-branches and short-circuited and-operands are
+    skipped)."""
+    return compile_trace(e)(env)
+
+
+def compile_trace(e: Expr) -> Callable[[Env], tuple[Value, set[tuple[int, ...]]]]:
+    """eval_trace compiled once for many environments: compile_expr's
+    closures, each behind a hook that records its node's path."""
+    visited: set[tuple[int, ...]] = set()
+    run = _compile_traced(e, visited, ())
+
+    def trace(env):
+        visited.clear()
+        return run(env), set(visited)
+
+    return trace
+
+
+def _compile_traced(e: Expr, visited: set, path: tuple[int, ...]) -> Callable[[Env], Value]:
+    kids = [_compile_traced(k, visited, path + (i,)) for i, k in enumerate(children(e))]
+    run = _COMPILE.get(e.__class__, _c_unknown)(e, *kids)
+
+    def visit(env):
+        visited.add(path)
+        return run(env)
+
+    return visit
+
+
+def _c_unknown(e: Expr):
+    raise EvalError(f"unknown expression {e!r}")
 
 
 def _c_const(v: Value):
     return lambda env: v
 
 
-def _c_var(name: str):
+def _c_var(e: Var):
+    name = e.name
+
     def run(env):
         try:
             return env[name]
@@ -719,6 +734,15 @@ def _c_var(name: str):
 
 def _c_hole(env):
     raise EvalError("cannot evaluate an expression with holes")
+
+
+def _c_strict(op: Operator):
+    apply = op.apply
+    if not op.operands:
+        return lambda e: _c_const(apply())
+    if len(op.operands) == 1:
+        return lambda e, a: _c_strict1(apply, a)
+    return lambda e, a, b: _c_strict2(apply, a, b)
 
 
 def _c_strict2(apply, a, b):
@@ -743,7 +767,7 @@ def _c_strict1(apply, a):
     return run
 
 
-def _c_and(a, b):
+def _c_and(e: And, a, b):
     def run(env):
         va = a(env)
         if va.__class__ is ErrV or (va.__class__ is BoolV and not va.value):
@@ -753,7 +777,7 @@ def _c_and(a, b):
     return run
 
 
-def _c_ite(c, t, o):
+def _c_ite(e: Ite, c, t, o):
     def run(env):
         vc = c(env)
         if vc.__class__ is ErrV:
@@ -763,36 +787,17 @@ def _c_ite(c, t, o):
     return run
 
 
-def eval_trace(e: Expr, env: Env, path: tuple[int, ...] = (), visited: set | None = None):
-    """Like evaluate, but records the path of every subexpression that actually
-    ran (untaken if-branches and short-circuited and-operands are skipped)."""
-    if visited is None:
-        visited = set()
-    visited.add(path)
-    match e:
-        case And(a, b):
-            va, _ = eval_trace(a, env, path + (0,), visited)
-            if isinstance(va, ErrV) or va == FALSE_V:
-                return va, visited
-            return eval_trace(b, env, path + (1,), visited)
-        case Ite(c, t, o):
-            vc, _ = eval_trace(c, env, path + (0,), visited)
-            if isinstance(vc, ErrV):
-                return vc, visited
-            if vc.value:
-                return eval_trace(t, env, path + (1,), visited)
-            return eval_trace(o, env, path + (2,), visited)
-    kids = children(e)
-    if not kids:
-        return evaluate(e, env), visited
-    vals = []
-    for i, k in enumerate(kids):
-        v, visited = eval_trace(k, env, path + (i,), visited)
-        vals.append(v)
-    for v in vals:
-        if isinstance(v, ErrV):
-            return v, visited
-    return _STRICT_APPLY[e.__class__](*vals), visited
+# candidate scoring and the verification scan evaluate millions of nodes;
+# both the compiler and partial_eval dispatch on node class through tables
+_COMPILE: dict[type, Callable[..., Callable[[Env], Value]]] = {
+    IntLit: lambda e: _c_const(IntV(e.value)),
+    BoolLit: lambda e: _c_const(TRUE_V if e.value else FALSE_V),
+    Var: _c_var,
+    Hole: lambda e: _c_hole,
+    And: _c_and,
+    Ite: _c_ite,
+    **{cls: _c_strict(op) for cls, op in OPERATORS.items() if op.apply is not None},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -821,6 +826,15 @@ def _pe_var(e: Var, env: PartialEnv) -> "Value | _Unknown":
         raise EvalError(f"unbound variable {e.name}") from None
 
 
+def _pe_strict(op: Operator) -> "Callable[[Expr, PartialEnv], Value | _Unknown]":
+    apply = op.apply
+    if not op.operands:
+        return lambda e, env: apply()
+    if len(op.operands) == 1:
+        return _pe_unop(apply, operator.attrgetter(op.operands[0]))
+    return _pe_binop(apply, _CHILD_GETTERS[op.cls])
+
+
 def _pe_binop(apply, get) -> "Callable[[Expr, PartialEnv], Value | _Unknown]":
     def pe(e, env):
         a, b = get(e)
@@ -837,9 +851,9 @@ def _pe_binop(apply, get) -> "Callable[[Expr, PartialEnv], Value | _Unknown]":
     return pe
 
 
-def _pe_unop(apply) -> "Callable[[Expr, PartialEnv], Value | _Unknown]":
+def _pe_unop(apply, get) -> "Callable[[Expr, PartialEnv], Value | _Unknown]":
     def pe(e, env):
-        va = partial_eval(e.arg, env)
+        va = partial_eval(get(e), env)
         if va.__class__ is ErrV:
             return va
         if va is UNKNOWN:
@@ -879,11 +893,5 @@ _PEVAL: dict[type, "Callable[[Expr, PartialEnv], Value | _Unknown]"] = {
     Var: _pe_var,
     And: _pe_and,
     Ite: _pe_ite,
-    Nil: lambda e, env: ListV(()),
-    **{
-        cls: _pe_binop(f, _CHILD_GETTERS[cls])
-        for cls, f in _STRICT_APPLY.items()
-        if cls in _BINOPS
-    },
-    **{cls: _pe_unop(f) for cls, f in _STRICT_APPLY.items() if cls in _UNOPS},
+    **{cls: _pe_strict(op) for cls, op in OPERATORS.items() if op.apply is not None},
 }

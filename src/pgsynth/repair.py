@@ -41,6 +41,7 @@ from .cegis import (
 )
 from .corpus import (
     RESULT_NAME,
+    CorpusError,
     CorpusProgram,
     FunctionDef,
     extract_local_bias,
@@ -68,7 +69,7 @@ from .lang import (
     Var,
     children,
     compile_expr,
-    eval_trace,
+    compile_trace,
     expr_size,
     get_at,
     iter_subexprs,
@@ -133,7 +134,10 @@ def parse_task(text: str, program_dir=".") -> RepairTask:
     if len(clauses["function"]) != 1 or not isinstance(clauses["function"][0], Symbol):
         raise RepairError("function clause must be (function name)")
     path = Path(program_dir) / prog_clause[0]
-    program = load_program(path)
+    try:
+        program = load_program(path)
+    except CorpusError as err:
+        raise RepairError(str(err)) from None
     function = str(clauses["function"][0])
     fn = program.find(function)
     if fn is None:
@@ -261,9 +265,10 @@ def localize(fn: FunctionDef, failing) -> tuple[tuple[int, ...], ...]:
     if not failing:
         raise RepairError("localization needs at least one failing test")
     common: set | None = None
+    trace = compile_trace(fn.body)
     for env in failing:
-        _, visited = eval_trace(fn.body, env)
-        common = set(visited) if common is None else common & visited
+        _, visited = trace(env)
+        common = visited if common is None else common & visited
     nodes = list(iter_subexprs(fn.body))
     nodes.sort(key=lambda pe: (pe[0] not in common, expr_size(pe[1]), pe[0]))
     return tuple(path for path, _ in nodes)

@@ -195,6 +195,77 @@ def oracle_eval_expr(e, env):
 
 
 # ---------------------------------------------------------------------------
+# Independent type checker: S-expression forms over python type forms
+
+
+def oracle_type_form(form):
+    """A type S-expression as a python type: "Int", "Bool" or ("List", t)."""
+    if form in ("Int", "Bool"):
+        return str(form)
+    assert isinstance(form, list) and len(form) == 2 and form[0] == "List", form
+    return ("List", oracle_type_form(form[1]))
+
+
+def oracle_type(form, scope):
+    """The type of a parsed S-expression form, written directly from the
+    language's typing rules and sharing nothing with the engine's type
+    checker, or None if the form is ill-typed. scope maps names to python
+    types as oracle_type_form returns them."""
+    if isinstance(form, int):
+        return "Int"
+    if isinstance(form, Symbol):
+        if form in ("true", "false"):
+            return "Bool"
+        return scope.get(str(form))
+    op, *args = form
+    op = str(op)
+    if op == "nil":
+        return ("List", oracle_type_form(args[0]))
+    if op == "?":
+        return oracle_type_form(args[0])
+    ts = [oracle_type(a, scope) for a in args]
+    if None in ts:
+        return None
+    if op in ("+", "-", "*"):
+        return "Int" if ts == ["Int", "Int"] else None
+    if op == "<=":
+        return "Bool" if ts == ["Int", "Int"] else None
+    if op == "=":
+        return "Bool" if ts[0] == ts[1] else None
+    if op == "and":
+        return "Bool" if ts == ["Bool", "Bool"] else None
+    if op == "not":
+        return "Bool" if ts == ["Bool"] else None
+    if op == "if":
+        return ts[1] if ts[0] == "Bool" and ts[1] == ts[2] else None
+    if op == "cons":
+        return ts[1] if ts[1] == ("List", ts[0]) else None
+    if not isinstance(ts[0], tuple):  # the rest take one list
+        return None
+    if op == "head":
+        return ts[0][1]
+    if op == "tail":
+        return ts[0]
+    if op == "isEmpty":
+        return "Bool"
+    if op == "size":
+        return "Int"
+    raise AssertionError(f"oracle cannot type {op}")
+
+
+def oracle_type_expr(e, scope):
+    """oracle_type over an engine expression's printed form, with scope and
+    result as printed type strings."""
+    py_scope = {n: oracle_type_form(parse_one(t)) for n, t in scope.items()}
+    t = oracle_type(parse_one(to_sexpr(e)), py_scope)
+    return None if t is None else _type_text(t)
+
+
+def _type_text(t):
+    return t if isinstance(t, str) else f"(List {_type_text(t[1])})"
+
+
+# ---------------------------------------------------------------------------
 # Reference bounded-exhaustive verification
 
 

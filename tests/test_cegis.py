@@ -234,6 +234,9 @@ def test_parse_list_typed_example_values():
         ("(problem (inputs (a Int)) (output x Int) (examples ((a (if true 1 2)) => 1)))", "literal"),
         ("(problem (inputs (a Int)) (output x Int) (examples ((a 1) => (head (nil Int)))))", "not a literal"),
         ("(problem (inputs (a Int)) (output x Int) (pc (<= 1 a)) (examples ((a 0) => 0)))", "violates the path condition"),
+        ("(problem (inputs (a Int)) (output x Int) (pc (<= a (? Int))) (examples ((a 1) => 1)))", "path condition contains a hole"),
+        ("(problem (inputs (a Int)) (output x Int) (pc (<= a (? Int))))", "path condition contains a hole"),
+        ("(problem (inputs (a Int)) (output x Int) (spec (= x (? Int))))", "spec contains a hole"),
         ("(problem (output x Int) (grammar foo))", "(grammar \"path\")"),
         ("(problem (output x Int) (grammar))", "(grammar \"path\")"),
         ("(problem 5 (output x Int))", "bad clause"),

@@ -62,6 +62,7 @@ from pgsynth.lang import (
     to_sexpr,
     type_of,
     type_size,
+    type_str,
     value_to_expr,
 )
 
@@ -108,8 +109,6 @@ def completions(e):
 
 
 def test_type_parsing_round_trip():
-    from pgsynth.lang import type_str
-
     for text in ["Int", "Bool", "(List Int)", "(List (List Bool))", "'a"]:
         t = parse_type(text)
         assert type_str(t) == text
@@ -337,7 +336,7 @@ def test_expr_parse_print_round_trip():
 def test_parse_rejects_malformed():
     from pgsynth.sexpr import SexprError
 
-    for bad in ["(+ 1)", "(if true 1)", "(nil)", "(foo 1 2)", "(1 2)", "true false"]:
+    for bad in ["(+ 1)", "(if true 1)", "(nil)", "(foo 1 2)", "(1 2)", "true false", "(? Int (x y))"]:
         with pytest.raises(SexprError):
             parse_expr(bad)
 
@@ -486,6 +485,44 @@ def test_eval_agrees_with_sexpr_oracle():
         got = to_py(evaluate(e, env))
         want_v = oracle_eval_expr(e, {n: to_py(v) for n, v in env.items()})
         assert got == want_v, to_sexpr(e)
+
+
+def test_type_of_agrees_with_sexpr_oracle():
+    from oracle import oracle_type_expr
+
+    scope = {"i": INT, "j": INT, "b": BOOL, "l": LIST_INT}
+    printed = {n: type_str(t) for n, t in scope.items()}
+    list_bool = ListType(BOOL)
+    rng = random.Random(31)
+
+    def agree(e):
+        try:
+            got = type_str(type_of(e, scope))
+        except TypeCheckError:
+            got = None
+        assert got == oracle_type_expr(e, printed), to_sexpr(e)
+        return got
+
+    def term_of(t):
+        if t == list_bool:
+            return rng.choice([Nil(BOOL), Cons(BoolLit(False), Nil(BOOL))])
+        return random_typed_expr(rng, 2, t)
+
+    rejected = 0
+    for _ in range(500):
+        want = rng.choice([INT, BOOL, LIST_INT])
+        e = random_typed_expr(rng, 4, want)
+        assert agree(e) == type_str(want)
+        # a twin with one proper subterm swapped for a term of another type
+        subterms = list(iter_subexprs(e))[1:]
+        if not subterms:
+            continue
+        path, sub = rng.choice(subterms)
+        have = oracle_type_expr(sub, printed)
+        other = rng.choice([t for t in (INT, BOOL, LIST_INT, list_bool) if type_str(t) != have])
+        # some stay well-typed: (size l) with l swapped for a (List Bool)
+        rejected += agree(replace_at(e, path, term_of(other))) is None
+    assert rejected > 300
 
 
 def test_one_compiled_closure_serves_many_envs():

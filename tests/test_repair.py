@@ -20,6 +20,7 @@ from pgsynth.lang import (
     Nonterminal,
     TRUE_V,
     IntV,
+    iter_subexprs,
     parse_expr,
     replace_at,
     to_sexpr,
@@ -116,6 +117,14 @@ def test_parse_task_shape_errors(text, fragment):
     with pytest.raises(RepairError, match=None) as err:
         parse_task(text)
     assert fragment in str(err.value)
+
+
+def test_parse_task_unreadable_program(tmp_path):
+    with pytest.raises(RepairError, match="cannot read program"):
+        parse_task('(repair (program "nope.sexp") (function abs))', tmp_path)
+    write_program(tmp_path, "(def abs ((a Int)) -> Int true)")
+    with pytest.raises(RepairError, match="has type Bool"):
+        parse_task('(repair (program "prog.sexp") (function abs))', tmp_path)
 
 
 def test_parse_task_missing_function(tmp_path):
@@ -420,6 +429,18 @@ def test_location_problem_output_type_follows_the_subtree():
     assert location_problem(fn, (0,)).output_type == LIST_INT
     assert location_problem(fn, ()).output_type == INT
     assert to_sexpr(location_problem(fn, (0, 0)).pc) == "true"
+
+
+def test_location_problem_composes_specs_deeper_than_the_reader_allows():
+    # body and ensures each nest about MAX_DEPTH - 10 deep; the spec that
+    # substitutes the body for result nests twice as deep and still validates
+    n = MAX_DEPTH - 10
+    body = "(+ a " * n + "1" + ")" * n
+    ensures = "(not " * (n + 3) + "(= result a)" + ")" * (n + 3)
+    fn = parse_program(f"(def f ((a Int)) -> Int (ensures {ensures}) {body})").find("f")
+    problem = location_problem(fn, (1,) * n)
+    assert max(len(path) for path, _ in iter_subexprs(problem.spec)) > 2 * n
+    assert problem.output_type == INT
 
 
 # ---------------------------------------------------------------------------
