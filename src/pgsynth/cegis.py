@@ -63,8 +63,6 @@ from .lang import (
     expr_from_sexpr,
     identifier,
     is_complete,
-    magnitude,
-    order_key,
     partial_eval,
     type_from_sexpr,
     type_is_ground,
@@ -475,23 +473,41 @@ class VerifyResult:
 
 def bounded_values(t: Type, int_bound: int, list_bound: int) -> list[Value]:
     """Every value of t with integers in [-B, B] and list lengths <= L,
-    ordered by (magnitude, tie-break key)."""
+    ordered by (magnitude, tie-break key). An integer's are (|n|, n), a
+    boolean's (b, b), and a list's its length plus its items' magnitudes
+    and the tuple of its items' keys."""
+    vals, key = _keyed_values(t, int_bound, list_bound)
+    vals.sort(key=key)
+    return vals
+
+
+def _keyed_values(t: Type, int_bound: int, list_bound: int):
+    """Every bounded value of t, in no set order, and the function giving
+    each its (magnitude, tie-break key). A list's key reads its items' from
+    one table per item type, so no value is walked recursively. Distinct
+    values have distinct keys, so the order they sort to is fixed."""
     match t:
         case IntType():
-            vals = [IntV(i) for i in range(-int_bound, int_bound + 1)]
+            ints = [IntV(i) for i in range(-int_bound, int_bound + 1)]
+            return ints, lambda v: (abs(v.value), v.value)
         case BoolType():
-            vals = [BoolV(False), BoolV(True)]
+            return [BoolV(False), BoolV(True)], lambda v: (int(v.value), v.value)
         case ListType(elem):
-            elems = bounded_values(elem, int_bound, list_bound)
+            elems, elem_key = _keyed_values(elem, int_bound, list_bound)
+            mag = {e: elem_key(e)[0] for e in elems}.__getitem__
+            tie = {e: elem_key(e)[1] for e in elems}.__getitem__
+
+            def list_key(v):
+                items = v.items
+                return len(items) + sum(map(mag, items)), tuple(map(tie, items))
+
             vals = [
                 ListV(tup)
                 for k in range(list_bound + 1)
                 for tup in itertools.product(elems, repeat=k)
             ]
-        case _:
-            raise ProblemError(f"cannot enumerate values of {type_str(t)}")
-    vals.sort(key=lambda v: (magnitude(v), order_key(v)))
-    return vals
+            return vals, list_key
+    raise ProblemError(f"cannot enumerate values of {type_str(t)}")
 
 
 def domain_size(t: Type, int_bound: int, list_bound: int) -> int:
@@ -515,10 +531,12 @@ def _ordered_domain(
 ) -> tuple[tuple[Value, ...], ...]:
     """Every valuation of types over the bounded domains, in bounded_points
     order. Memoized; holds only immutable tuples."""
-    domains = [bounded_values(t, int_bound, list_bound) for t in types]
-    if len(domains) == 1:
-        return tuple((v,) for v in domains[0])  # bounded_values already ordered it
-    keyed = [[(magnitude(v), order_key(v), v) for v in d] for d in domains]
+    if len(types) == 1:
+        return tuple((v,) for v in bounded_values(types[0], int_bound, list_bound))
+    keyed = []
+    for t in types:
+        vals, key = _keyed_values(t, int_bound, list_bound)
+        keyed.append([(*key(v), v) for v in vals])
     combos = sorted(
         itertools.product(*keyed),
         key=lambda c: (sum(m for m, _, _ in c), tuple(k for _, k, _ in c)),

@@ -16,8 +16,11 @@ Expansion pays for the spine, not the tree. A child differs from its parent
 only on the path from the filled hole to the root; the parent was rewritten
 when it was dequeued, so off that path every maximal complete subexpression
 is already a representative, and the rewriter descends that path alone. A
-child's hole offsets and paths are filled from its parent's on first read,
-which only the children that are themselves expanded ever do.
+child's hole paths are filled from its parent's on first read, which only
+the children that are themselves expanded ever do. Expansion splices a
+child's derivation key from its parent's as text, finding the leftmost hole
+as the key's first "(?": keys print holes in preorder, and nothing else
+prints that pair.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .lang import (
     Value,
     children,
     compile_expr,
-    hole_offsets,
     hole_paths,
     hole_print,
     rebuild,
@@ -53,15 +55,14 @@ class PartialProduction:
     over remaining holes (0 iff complete), hole_nts the hole nonterminals in
     leftmost-first order, and score the count of input points the expression
     already definitely satisfies. derivation_key is the canonical print of
-    the expression (holes shown with their nonterminals); hole_pos and
-    hole_paths give each hole's offset in the key and path in the tree.
+    the expression (holes shown with their nonterminals); hole_paths gives
+    each hole's path in the tree.
 
-    hole_pos and hole_paths are filled on first read: from expr and the key
-    when left unset, and for an expansion child from its parent's tuples, so
-    a child that is never expanded never builds them. `spine` is set by
-    expansion: the path the rewriter descends (see IndistRewriter) and
-    whether the node at its end is complete; None means no path is
-    recorded and the rewriter walks the whole tree."""
+    hole_paths is filled on first read: from the tree, or for an expansion
+    child from its parent's paths, so a child that is never expanded never
+    builds it. `spine` is set by expansion: the path the rewriter descends
+    (see IndistRewriter) and whether the node at its end is complete; None
+    means no path is recorded and the rewriter walks the whole tree."""
 
     __slots__ = (
         "expr",
@@ -72,10 +73,9 @@ class PartialProduction:
         "score",
         "derivation_key",
         "spine",
-        "_pos",
         "_paths",
         "_ctx",
-        "_rule",
+        "_rel",
     )
 
     def __init__(
@@ -86,9 +86,6 @@ class PartialProduction:
         hole_nts: tuple[Nonterminal, ...],
         hole_h: tuple[float, ...] = (),  # horizon of each hole, parallel to hole_nts
         score: int = 0,
-        derivation_key: str = "",
-        hole_pos: tuple[int, ...] = (),
-        hole_paths: tuple[tuple[int, ...], ...] = (),
     ):
         self.expr = expr
         self.cost = cost
@@ -96,20 +93,14 @@ class PartialProduction:
         self.hole_nts = hole_nts
         self.hole_h = hole_h
         self.score = score
-        if not derivation_key:
-            derivation_key = to_sexpr(expr)
-            hole_pos = ()
-        self.derivation_key = derivation_key
-        n = len(hole_nts)
-        self._pos = hole_pos if len(hole_pos) == n else None
-        self._paths = hole_paths if len(hole_paths) == n else None
-        self.spine = self._ctx = self._rule = None
+        self.derivation_key = to_sexpr(expr)
+        self.spine = self._paths = self._ctx = self._rel = None
 
     @classmethod
-    def _expanded(cls, expr, cost, hole_nts, hole_h, key, spine, ctx, rule):
-        """A child of expansion; ctx holds the parent's tuples and rule the
-        filled rule's expansion record, from which hole_pos and hole_paths
-        are filled on first read."""
+    def _expanded(cls, expr, cost, hole_nts, hole_h, key, spine, ctx, rel):
+        """A child of expansion; ctx holds the filled hole's path and the
+        parent's other hole paths, rel the filled rule's hole paths inside
+        its template, from which hole_paths is filled on first read."""
         pp = cls.__new__(cls)
         pp.expr = expr
         pp.cost = cost
@@ -119,35 +110,20 @@ class PartialProduction:
         pp.score = 0
         pp.derivation_key = key
         pp.spine = spine
-        pp._pos = pp._paths = None
+        pp._paths = None
         pp._ctx = ctx
-        pp._rule = rule
+        pp._rel = rel
         return pp
-
-    def _fill(self) -> None:
-        if self._ctx is None:
-            if self._pos is None:
-                self._pos = hole_offsets(self.derivation_key, self.hole_nts)
-            if self._paths is None:
-                self._paths = hole_paths(self.expr)
-            return
-        at, width, pos, at_path, rest_paths = self._ctx
-        _, text, offs, rel_paths = self._rule
-        delta = len(text) - width
-        self._pos = tuple(at + o for o in offs) + tuple(q + delta for q in pos[1:])
-        self._paths = tuple(at_path + rel for rel in rel_paths) + rest_paths
-        self._ctx = self._rule = None
-
-    @property
-    def hole_pos(self) -> tuple[int, ...]:
-        if self._pos is None:
-            self._fill()
-        return self._pos
 
     @property
     def hole_paths(self) -> tuple[tuple[int, ...], ...]:
         if self._paths is None:
-            self._fill()
+            if self._ctx is None:
+                self._paths = hole_paths(self.expr)
+            else:
+                at_path, rest_paths = self._ctx
+                self._paths = tuple(at_path + rel for rel in self._rel) + rest_paths
+                self._ctx = self._rel = None
         return self._paths
 
     @property
@@ -219,14 +195,16 @@ def expand(pp: PartialProduction, g: Pcfg) -> list[PartialProduction]:
     nt = pp.hole_nts[0]
     rest_nts = pp.hole_nts[1:]
     rest_h = pp.hole_h[1:]
-    pos = pp.hole_pos
     paths = pp.hole_paths
     at_path = paths[0]
     rest_paths = paths[1:]
+    ctx = (at_path, rest_paths)
+    # the key prints holes in preorder, and only a hole prints "(?": every
+    # other list opens with an operator tag, and no tag starts with "?"
     key = pp.derivation_key
-    at = pos[0]
-    end = at + len(hole_print(nt))
-    ctx = (at, end - at, pos, at_path, rest_paths)
+    at = key.index("(?")
+    head = key[:at]
+    tail = key[at + len(hole_print(nt)) :]
     spine_kept = (at_path, False)
     if rest_paths:
         # neither path is a prefix of the other: both end at holes
@@ -246,8 +224,7 @@ def expand(pp: PartialProduction, g: Pcfg) -> list[PartialProduction]:
         node = kids[i]
     out = []
     for r in g.rules_for(nt):
-        rule = rule_exp[r.id]
-        hole_h = rule[0] + rest_h
+        child_h, text, rel = rule_exp[r.id]
         new = r.template
         for parent, i, kids in reversed(lineage):
             # every spine node's constructor takes exactly its children
@@ -257,11 +234,11 @@ def expand(pp: PartialProduction, g: Pcfg) -> list[PartialProduction]:
                 new,
                 pp.cost + g.cost[r.id],
                 r.child_nts + rest_nts,
-                hole_h,
-                key[:at] + rule[1] + key[end:],
+                child_h + rest_h,
+                head + text + tail,
                 spine_kept if r.child_nts else spine_done,
                 ctx,
-                rule,
+                rel,
             )
         )
     return out
@@ -387,7 +364,7 @@ class IndistRewriter:
             new = self._spine(pp.expr, *pp.spine, represent)
             if new is None:
                 return pp
-        # key, offsets and paths are stale for the rewritten tree; recompute
+        # key and paths are stale for the rewritten tree; recompute
         out = PartialProduction(new, pp.cost, pp.horizon_sum, pp.hole_nts, pp.hole_h, pp.score)
         out.spine = pp.spine
         return out

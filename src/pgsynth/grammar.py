@@ -25,7 +25,6 @@ from .lang import (
     Type,
     Var,
     children,
-    hole_offsets,
     hole_paths,
     holes,
     match_type,
@@ -72,9 +71,6 @@ class ProductionRule:
         return f"{self.lhs} ::= {body} (w={self.weight:g})"
 
 
-RuleExpansion = tuple[tuple[float, ...], str, tuple[int, ...], tuple[tuple[int, ...], ...]]
-
-
 @dataclass
 class Pcfg:
     """Normalized grammar: rules grouped by nonterminal, with probabilities
@@ -84,7 +80,7 @@ class Pcfg:
     prob: dict[str, float]
     cost: dict[str, float]
     _horizons: dict[Nonterminal, float] | None = field(default=None, repr=False)
-    _rule_exp: dict[str, RuleExpansion] | None = field(default=None, repr=False)
+    _rule_exp: dict[str, tuple] | None = field(default=None, repr=False)
 
     def all_rules(self):
         for group in self.rules.values():
@@ -104,24 +100,17 @@ class Pcfg:
             self._horizons = horizons(self)
         return self._horizons
 
-    def rule_expansions(self) -> dict[str, RuleExpansion]:
-        """Per rule, what expansion splices in for it, each in hole order:
-        the horizon of each child nonterminal, the template's printed form,
-        the offset of each hole's own printed form inside it, and the path
-        of each hole inside the template. Lets expansion splice derivation
-        keys as strings instead of reprinting whole trees."""
+    def rule_expansions(self) -> dict[str, tuple]:
+        """Per rule, what expansion splices in for it: the horizon of each
+        child nonterminal, the template's printed form, and the path of each
+        hole inside the template, both in hole order. Lets expansion splice
+        derivation keys as strings instead of reprinting whole trees."""
         if self._rule_exp is None:
             h = self.horizon()
-            out = {}
-            for r in self.all_rules():
-                text = to_sexpr(r.template)
-                out[r.id] = (
-                    tuple(h[c] for c in r.child_nts),
-                    text,
-                    hole_offsets(text, r.child_nts),
-                    hole_paths(r.template),
-                )
-            self._rule_exp = out
+            self._rule_exp = {
+                r.id: (tuple(h[c] for c in r.child_nts), to_sexpr(r.template), hole_paths(r.template))
+                for r in self.all_rules()
+            }
         return self._rule_exp
 
 
@@ -253,7 +242,7 @@ def discover_types(rules, seeds, max_iters: int = 2, max_type_size: int = 3) -> 
     types) by instantiating generic rules, bounded by structural size."""
     types: set[Type] = {t for t in seeds if type_size(t) <= max_type_size}
     for r in rules:
-        ts = [r.lhs.base] + [nt.base for nt in _slot_nts(r)]
+        ts = [r.lhs.base] + [nt.base for nt in r.child_nts]
         for t in ts:
             if type_is_ground(t) and type_size(t) <= max_type_size:
                 types.add(t)
@@ -261,7 +250,7 @@ def discover_types(rules, seeds, max_iters: int = 2, max_type_size: int = 3) -> 
     for _ in range(max_iters):
         added = False
         for r in generic:
-            slots = [nt.base for nt in _slot_nts(r)]
+            slots = [nt.base for nt in r.child_nts]
             for assignment in itertools.product(sorted(types, key=type_str), repeat=len(r.type_params)):
                 sub = dict(zip(r.type_params, assignment))
                 if any(subst_type(s, sub) not in types for s in slots):
@@ -273,12 +262,6 @@ def discover_types(rules, seeds, max_iters: int = 2, max_type_size: int = 3) -> 
         if not added:
             break
     return types
-
-
-def _slot_nts(r: ProductionRule) -> tuple[Nonterminal, ...]:
-    if r.variable_of is not None:
-        return ()
-    return tuple(holes(r.template))
 
 
 def instantiate_generics(rules, types) -> list[ProductionRule]:
@@ -309,7 +292,7 @@ def _instantiate_rule(r: ProductionRule, sub: dict[str, Type], types) -> Product
     lhs = Nonterminal(subst_type(r.lhs.base, sub), r.lhs.attr)
     if lhs.base not in types:
         return None
-    for nt in _slot_nts(r):
+    for nt in r.child_nts:
         if type_vars(nt.base) and subst_type(nt.base, sub) not in types:
             return None
     template = _subst_template(r.template, sub)

@@ -498,20 +498,6 @@ def hole_print(nt: Nonterminal) -> str:
     return s
 
 
-def hole_offsets(text: str, nts: tuple[Nonterminal, ...]) -> tuple[int, ...]:
-    """Offset of each hole's printed form in `text` (the print of an
-    expression whose holes are `nts`, leftmost-first). Valid because printing
-    visits subexpressions in the same preorder as the hole list."""
-    out = []
-    i = 0
-    for nt in nts:
-        s = hole_print(nt)
-        i = text.index(s, i)
-        out.append(i)
-        i += len(s)
-    return tuple(out)
-
-
 # words an expression gives a meaning to, so no variable may take them
 RESERVED_WORDS = frozenset({"true", "false", "?", *OPERATOR_BY_TAG})
 
@@ -593,41 +579,6 @@ def value_str(v: Value) -> str:
         case ErrV(reason):
             return f"error:{reason}"
     raise EvalError(f"unprintable value {v!r}")
-
-
-def type_of_value(v: Value, elem_hint: Type = INT) -> Type:
-    match v:
-        case IntV(_):
-            return INT
-        case BoolV(_):
-            return BOOL
-        case ListV(items):
-            return ListType(type_of_value(items[0]) if items else elem_hint)
-    raise EvalError(f"error value has no type: {v!r}")
-
-
-def magnitude(v: Value) -> int:
-    """Size measure used to order verification points (small inputs first)."""
-    match v:
-        case IntV(n):
-            return abs(n)
-        case BoolV(b):
-            return int(b)
-        case ListV(items):
-            return len(items) + sum(magnitude(i) for i in items)
-    raise EvalError(f"no magnitude for {v!r}")
-
-
-def order_key(v: Value):
-    """Deterministic tie-break key among values of one type."""
-    match v:
-        case IntV(n):
-            return n
-        case BoolV(b):
-            return b
-        case ListV(items):
-            return tuple(order_key(i) for i in items)
-    raise EvalError(f"no order key for {v!r}")
 
 
 # ---------------------------------------------------------------------------

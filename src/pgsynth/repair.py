@@ -89,6 +89,14 @@ class RepairError(LangError):
 
 Point = dict[str, Value]
 
+# repair's grammars weigh the broken term's subtrees SIMILAR_SIGMA * 2^(-depth)
+# (similar_term_grammar) and scale the program's own habits by
+# LOCAL_BIAS_MULTIPLIER (extract_local_bias); failing tests seed each search
+SIMILAR_SIGMA = 20.0
+LOCAL_BIAS_DEPTH = 1
+LOCAL_BIAS_MULTIPLIER = 5.0
+MAX_SEED_POINTS = 8
+
 
 def _point_key(env: Point) -> frozenset:
     """A hashable key equal for two points iff the dicts are equal."""
@@ -279,7 +287,7 @@ def localize(fn: FunctionDef, failing) -> tuple[tuple[int, ...], ...]:
 
 
 def similar_term_grammar(
-    broken: Expr, base: GrammarFile, scope: dict, sigma: float = 20.0
+    broken: Expr, base: GrammarFile, scope: dict, sigma: float = SIMILAR_SIGMA
 ) -> GrammarFile:
     """Add one production per subtree of the broken expression, verbatim, at
     the plain nonterminal of its type, weighted sigma * 2^(-depth): the
@@ -367,16 +375,12 @@ def repair(
     mode: PriorityMode | None = None,
     *,
     use_similar: bool = True,
-    bias_depth: int = 1,
-    bias_multiplier: float = 5.0,
-    sigma: float = 20.0,
     int_bound: int = DEFAULT_INT_BOUND,
     list_bound: int = DEFAULT_LIST_BOUND,
     max_points: int = DEFAULT_VERIFY_POINTS,
     max_dequeues: int = DEFAULT_SEARCH_DEQUEUES,
     timeout_s: float | None = DEFAULT_SEARCH_SECONDS,
     max_locations: int | None = None,
-    max_seed_points: int = 8,
     trace=None,
 ) -> RepairResult:
     """Try fault locations in localization order; at each, synthesize a
@@ -403,7 +407,7 @@ def repair(
 
     plain = merge_grammar_files(
         [base if base is not None else _builtin_base(),
-         extract_local_bias(task.program, bias_depth, bias_multiplier)]
+         extract_local_bias(task.program, LOCAL_BIAS_DEPTH, LOCAL_BIAS_MULTIPLIER)]
     )
     locations = localize(fn, suite.failing)
     if max_locations is not None:
@@ -412,11 +416,11 @@ def repair(
     for path in locations:
         problem = location_problem(fn, path)
         pc = compile_expr(problem.pc)
-        seeds = [a for a in suite.failing if pc(a) == TRUE_V][:max_seed_points]
+        seeds = [a for a in suite.failing if pc(a) == TRUE_V][:MAX_SEED_POINTS]
         grammars = []
         if use_similar:
             broken = get_at(fn.body, path)
-            grammars.append(("similar", similar_term_grammar(broken, plain, fn.scope, sigma)))
+            grammars.append(("similar", similar_term_grammar(broken, plain, fn.scope)))
         grammars.append(("plain", plain))
         spliced = None
         for label, gf in grammars:

@@ -401,12 +401,18 @@ def test_bounded_points_order_and_oracle_agreement():
         {"a": 0, "b": 1},
         {"a": 1, "b": 0},
     ]
-    mixed = (("a", INT), ("flag", BOOL), ("l", ListType(BOOL)))
-    got = [
-        {n: to_py(v) for n, v in p.items()}
-        for p in bounded_points(mixed, int_bound=2, list_bound=2)
+    cases = [
+        ((("a", INT), ("flag", BOOL), ("l", ListType(BOOL))), 2, 2),
+        ((("l", ListType(INT)),), 2, 3),
+        ((("ll", ListType(ListType(BOOL))),), 1, 3),
+        ((("a", INT), ("ll", ListType(ListType(BOOL)))), 1, 2),
     ]
-    assert got == oracle_points(mixed, 2, 2)
+    for inputs, int_bound, list_bound in cases:
+        got = [
+            {n: to_py(v) for n, v in p.items()}
+            for p in bounded_points(inputs, int_bound=int_bound, list_bound=list_bound)
+        ]
+        assert got == oracle_points(inputs, int_bound, list_bound), inputs
 
 
 def test_domain_size_counts():

@@ -30,6 +30,7 @@ from pgsynth.enumerate import (
     root_pp,
 )
 from pgsynth.grammar import normalize
+from pgsynth.grammarfile import DEFAULT_GRAMMAR_TEXT, desugar, parse_grammar_file
 from pgsynth.lang import (
     FALSE_V,
     INT,
@@ -39,6 +40,8 @@ from pgsynth.lang import (
     IntV,
     Ite,
     Leq,
+    ListType,
+    ListV,
     Minus,
     Nonterminal,
     Plus,
@@ -47,6 +50,7 @@ from pgsynth.lang import (
     get_at,
     holes,
     partial_eval,
+    replace_leftmost_hole,
     to_sexpr,
 )
 
@@ -487,8 +491,55 @@ def test_bookkeeping_after_rewriting_and_lazy_fill(grammar):
         assert pp.derivation_key == to_sexpr(pp.expr)
         assert pp.hole_nts == tuple(holes(pp.expr))
         fresh = PartialProduction(pp.expr, pp.cost, pp.horizon_sum, pp.hole_nts)
-        assert pp.hole_pos == fresh.hole_pos
         assert pp.hole_paths == fresh.hole_paths
+
+
+KEY_SCAN_GRAMMAR = """\
+label NZ Int
+production 10 [] plus (a NZ) (b NZ) -> NZ (+ a b)
+production 5 [] minus (a Int) (b NZ) -> NZ (- a b)
+production 5 [] one () -> NZ 1
+production 20 [] vNZ () -> NZ (variable Int)
+production 20 [] vInt () -> Int (variable Int)
+production 10 [] nz (a NZ) -> Int (+ a 0)
+production 6 [] ite (c Bool) (t Int) (e NZ) -> Int (if c t e)
+production 6 [] leq (a NZ) (b Int) -> Bool (<= a b)
+production 3 [] neg (a Bool) -> Bool (not a)
+"""
+
+
+@pytest.mark.parametrize(
+    "text, scope, marker",
+    [
+        # a variable whose name starts with "?", printed right after "(+ "
+        (DEFAULT_GRAMMAR_TEXT, {"?x": INT, "l": ListType(INT)}, " ?x"),
+        (KEY_SCAN_GRAMMAR, {"x": INT}, "(? Int NZ)"),
+    ],
+    ids=["variable-?x", "attributed-holes"],
+)
+def test_key_scan_finds_the_leftmost_hole(text, scope, marker):
+    g = normalize(desugar(parse_grammar_file(text), scope, seed_types=(INT,)))
+    envs = [
+        {n: IntV(a) if t == INT else ListV((IntV(a),) * (a % 3)) for n, t in scope.items()}
+        for a in (2, 5, 7)
+    ]
+    en = Enumerator(g, INT_NT, ASTAR, rewriter=IndistRewriter(envs), max_dequeues=2000)
+    pushed = []
+    push = en.queue.push
+    en.queue.push = lambda pp: pushed.append(pp) or push(pp)
+    list(en)
+    assert en.stats.dequeued == 2000 and en.stats.rewritten > 0
+    assert any(marker in pp.derivation_key for pp in pushed if not pp.complete)
+    for pp in pushed:
+        key = pp.derivation_key
+        assert key == to_sexpr(pp.expr)
+        if pp.complete:
+            assert "(?" not in key
+            continue
+        # the print up to the leftmost hole, found from the tree
+        at = to_sexpr(replace_leftmost_hole(pp.expr, Var("@"))).index("@")
+        assert key.index("(?") == at, key
+        assert key.startswith(to_sexpr(Hole(pp.hole_nts[0])), at), key
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +577,6 @@ def test_random_walk_invariants():
         # incrementally spliced bookkeeping agrees with a fresh reprint
         assert pp.derivation_key == to_sexpr(pp.expr)
         fresh = PartialProduction(pp.expr, pp.cost, pp.horizon_sum, pp.hole_nts)
-        assert pp.hole_pos == fresh.hole_pos
         assert pp.hole_paths == fresh.hole_paths
         for nt, path in zip(pp.hole_nts, pp.hole_paths):
             assert get_at(pp.expr, path) == Hole(nt)

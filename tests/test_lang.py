@@ -49,9 +49,7 @@ from pgsynth.lang import (
     holes,
     is_complete,
     iter_subexprs,
-    magnitude,
     match_type,
-    order_key,
     parse_expr,
     parse_type,
     partial_eval,
@@ -391,10 +389,6 @@ def test_eval_trace_skips_untaken_branch():
 
 def test_values():
     v = ListV((IntV(2), IntV(-3)))
-    assert magnitude(v) == 7
-    assert magnitude(IntV(-5)) == 5
-    assert magnitude(BoolV(True)) == 1
-    assert order_key(IntV(-2)) < order_key(IntV(2))
     lit = value_to_expr(v, ListType(INT))
     assert evaluate(lit, {}) == v
     assert evaluate(value_to_expr(BoolV(True), BOOL), {}) == TRUE_V
