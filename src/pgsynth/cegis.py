@@ -316,8 +316,7 @@ def parse_problem(text: str) -> SynthesisProblem:
 
 
 def load_problem(path) -> SynthesisProblem:
-    with open(path, encoding="utf-8") as f:
-        return parse_problem(f.read())
+    return parse_problem(sexpr.read_file(path, ProblemError, "problem"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ A corpus file holds function definitions, optionally carrying contracts:
 
 Two extractors turn occurrence counts of expression kinds into weighted
 grammar files.  The depth-1 extractor keys counts on the kind alone and
-tags rules for the axiom pass; the depth-2 extractor keys them on the kind
-plus the (parent operator, child position) context, encoded as labeled
-nonterminals, and adds a Type ::= Type_TOPLEVEL start rule per type.
+tags each rule: literals `const` (and `0` for the integer zero), variables
+`top`, operators their operator tag, the roles `grammar.apply_axioms`
+reads.  The depth-2 extractor keys counts on the kind plus the (parent
+operator, child position) context, encoded as labeled nonterminals, and
+adds a Type ::= Type_TOPLEVEL start rule per type.
 """
 
 from __future__ import annotations
@@ -204,11 +206,7 @@ def parse_program(text: str) -> CorpusProgram:
 
 
 def load_program(path) -> CorpusProgram:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as err:
-        raise CorpusError(f"cannot read program {path}: {err}") from None
+    text = sexpr.read_file(path, CorpusError, "program")
     try:
         return parse_program(text)
     except CorpusError as err:
@@ -268,8 +266,6 @@ class ExprKind:
 
 
 _OPS = {cls.__name__: op for cls, op in OPERATORS.items()}
-# commutative on values; And is excluded because it short-circuits errors
-_COMMUTATIVE = {"Plus", "Times", "Eq"}
 
 
 def _rule_tag(name: str) -> str:
@@ -366,10 +362,7 @@ def _depth1_tags(k: ExprKind) -> frozenset[str]:
         if k.value == 0 and k.rtype == INT:
             tags.add("0")
         return frozenset(tags)
-    tags = {_rule_tag(k.op)}
-    if k.op in _COMMUTATIVE:
-        tags.add("commut")
-    return frozenset(tags)
+    return frozenset({_rule_tag(k.op)})
 
 
 def _depth1_production(k: ExprKind, count: float) -> RawProduction:

@@ -4,8 +4,8 @@ A grammar is a set of production rules, each mapping a nonterminal (base type
 plus optional attribute) to an expression template whose holes are the child
 slots. Weights are absolute frequencies; `normalize` turns them into per-
 nonterminal probabilities and negative-log costs. Transformation passes
-(variable instantiation, generic instantiation, symmetry/neutral-element
-axioms) rewrite the rule set and renormalize.
+(variable instantiation, generic instantiation, the neutral-element and
+const-fold axioms) rewrite the rule set and renormalize.
 """
 
 from __future__ import annotations
@@ -229,10 +229,6 @@ def split_variable_rules(rules, scope: dict[str, Type]) -> list[ProductionRule]:
     return out
 
 
-def instantiate_variables(g: Pcfg, scope: dict[str, Type]) -> Pcfg:
-    return normalize(split_variable_rules(g.all_rules(), scope))
-
-
 # ---------------------------------------------------------------------------
 # Generic rules
 
@@ -327,27 +323,31 @@ def _attr(nt: Nonterminal, suffix: str) -> Nonterminal:
     return Nonterminal(nt.base, attr)
 
 
-def apply_axioms(g: Pcfg, axioms=("0", "commut", "const")) -> Pcfg:
-    """Symmetry and redundancy breaking driven by rule tags.
+def apply_axioms(g: Pcfg, axioms=("0", "const")) -> Pcfg:
+    """Redundancy breaking driven by rule tags.
 
     "0": the zero rule is kept out of both operands of plus-tagged rules and
     the second operand of minus-tagged rules (neutral element).
-    "commut": commutative rules keep only operand pairs whose left top rule
-    is ordered at or before the right top rule (id order), one variant per
-    right top rule.
-    "const": arithmetic operand pairs that would both derive const-tagged
-    rules are excluded (the fold is redundant).
+    "const": every plus/minus/times-tagged rule over two holes is split so
+    that no operand pair derives two const-tagged rules at its top (the fold
+    is redundant): `~nc` keeps consts out of the left operand, `~cc` pairs a
+    const left operand with a non-const right one.
+
+    No axiom orders the operands of symmetric operators: once both operands
+    of `(+ b a)` are complete, the indistinguishability rewriter folds it
+    into `(+ a b)`; an axiom that did so as well raised synth seed 1's
+    dequeues from 292,657 to 317,094.
 
     Only tests apply it: no path in cegis, repair or the benchmark does.
-    It is not a uniform gain, so it stays off: with all three axioms, the
-    max-of-3 search fell from 291k dequeues to 214k, but max-2's rose from
-    5,931 to 6,380.
+    On synth seed 1 each axiom alone trimmed dequeues from 292,657 to
+    284,183 ("0") and to 283,299 ("const"). The "const" figure was measured
+    before the pass split the default grammar's plus and times rules.
     """
     rules = list(g.all_rules())
     if "0" in axioms:
         rules = _zero_axiom(rules)
-    if "commut" in axioms or "const" in axioms:
-        rules = _commut_const_axiom(rules, commut="commut" in axioms, const="const" in axioms)
+    if "const" in axioms:
+        rules = _const_axiom(rules)
     return normalize(rules)
 
 
@@ -439,92 +439,41 @@ def _ntid(nt: Nonterminal) -> str:
     return base if nt.attr is None else f"{base}.{nt.attr}"
 
 
-def _commut_const_axiom(rules: list[ProductionRule], commut: bool, const: bool) -> list[ProductionRule]:
+def _const_axiom(rules: list[ProductionRule]) -> list[ProductionRule]:
     groups = _rule_groups(rules)
     out: list[ProductionRule] = []
-    sub_nts: dict[tuple, Nonterminal] = {}
+    copies: dict[tuple[Nonterminal, bool], Nonterminal | None] = {}
     extra: list[ProductionRule] = []
 
-    def restricted(nt: Nonterminal, keep, suffix: str) -> Nonterminal | None:
-        """A copy of nt containing only the rules selected by `keep`."""
-        selected = [r for r in groups.get(nt, ()) if keep(r)]
-        if not selected:
-            return None
-        key = (nt, suffix)
-        if key in sub_nts:
-            return sub_nts[key]
-        new_nt = _attr(nt, suffix)
-        sub_nts[key] = new_nt
-        for r in selected:
-            extra.append(replace(r, id=f"{r.id}.{suffix}", lhs=new_nt))
-        return new_nt
+    def restricted(nt: Nonterminal, const: bool) -> Nonterminal | None:
+        """A copy of nt holding only its const (or only its non-const) rules."""
+        key = (nt, const)
+        if key not in copies:
+            selected = [r for r in groups.get(nt, ()) if ("const" in r.tags) == const]
+            suffix = "co" if const else "nc"
+            copies[key] = _attr(nt, suffix) if selected else None
+            extra.extend(replace(r, id=f"{r.id}.{suffix}", lhs=copies[key]) for r in selected)
+        return copies[key]
 
     for r in rules:
-        is_arith = bool(r.tags & ARITH_TAGS)
         kids = children(r.template)
-        binary = len(kids) == 2 and isinstance(kids[0], Hole) and isinstance(kids[1], Hole)
-        if commut and "commut" in r.tags and binary and kids[0].nt == kids[1].nt:
-            c = kids[0].nt
-            ordered = sorted(groups.get(c, ()), key=lambda x: x.id)
-            if not ordered:
-                out.append(r)
-                continue
-            total = sum(x.weight for x in ordered)
-            for k, rk in enumerate(ordered):
-                drop_const = const and is_arith and "const" in rk.tags
-                prefix_ids = {y.id for y in ordered[: k + 1]}
-
-                def keep_left(x, prefix_ids=prefix_ids, drop_const=drop_const):
-                    if x.id not in prefix_ids:
-                        return False
-                    return not (drop_const and "const" in x.tags)
-
-                left = restricted(c, keep_left, f"le{k}nc" if drop_const else f"le{k}")
-                right = restricted(c, lambda x, rk=rk: x.id == rk.id, f"is{k}")
-                if left is None or right is None:
-                    continue
-                template = rebuild(r.template, (Hole(left), Hole(right)))
-                out.append(
-                    replace(
-                        r,
-                        id=f"{r.id}~{k}",
-                        template=template,
-                        weight=r.weight * rk.weight / total,
-                        tags=r.tags - {"commut"},
-                    )
-                )
-            continue
-        if const and is_arith and binary and "commut" not in r.tags:
-            c1, c2 = r.child_nts
-            g1 = groups.get(c1, ())
-            g2 = groups.get(c2, ())
-            c1_const = [x for x in g1 if "const" in x.tags]
-            c2_nonconst = [x for x in g2 if "const" not in x.tags]
-            if c1_const and any("const" in x.tags for x in g2):
-                w1 = sum(x.weight for x in g1)
-                wc = sum(x.weight for x in c1_const)
-                nc_left = restricted(c1, lambda x: "const" not in x.tags, "nc")
+        if r.tags & ARITH_TAGS and len(kids) == 2 and all(isinstance(k, Hole) for k in kids):
+            left, right = (groups.get(k.nt, ()) for k in kids)
+            w_left = sum(x.weight for x in left)
+            w_const = sum(x.weight for x in left if "const" in x.tags)
+            if w_const and any("const" in x.tags for x in right):
+                nc_left = restricted(kids[0].nt, False)
+                co_left = restricted(kids[0].nt, True)
+                nc_right = restricted(kids[1].nt, False)
                 if nc_left is not None:
-                    out.append(
-                        replace(
-                            r,
-                            id=f"{r.id}~nc",
-                            template=rebuild(r.template, (Hole(nc_left), kids[1])),
-                            weight=r.weight * (w1 - wc) / w1,
-                        )
-                    )
-                co_left = restricted(c1, lambda x: "const" in x.tags, "co")
-                nc_right = restricted(c2, lambda x: "const" not in x.tags, "nc")
-                if co_left is not None and nc_right is not None:
-                    out.append(
-                        replace(
-                            r,
-                            id=f"{r.id}~cc",
-                            template=rebuild(r.template, (Hole(co_left), Hole(nc_right))),
-                            weight=r.weight * wc / w1,
-                        )
-                    )
-                if nc_left is None and (co_left is None or nc_right is None):
+                    template = rebuild(r.template, (Hole(nc_left), kids[1]))
+                    weight = r.weight * (w_left - w_const) / w_left
+                    out.append(replace(r, id=f"{r.id}~nc", template=template, weight=weight))
+                if nc_right is not None:
+                    template = rebuild(r.template, (Hole(co_left), Hole(nc_right)))
+                    weight = r.weight * w_const / w_left
+                    out.append(replace(r, id=f"{r.id}~cc", template=template, weight=weight))
+                if nc_left is None and nc_right is None:
                     log.warning("dropping rule %s: every operand pair is const+const", r.id)
                 continue
         out.append(r)

@@ -3,7 +3,7 @@
 One declaration per line, `#` comments, UTF-8:
 
     label NZ Int
-    production 10 [plus,commut] plus (a NZ) (b NZ) -> NZ (+ a b)
+    production 10 [plus] plus (a NZ) (b NZ) -> NZ (+ a b)
     production 20 [] vInt () -> NZ (variable Int)
     production 5 [] single ['A] (a 'A) -> (List 'A) (cons a (nil 'A))
 
@@ -90,7 +90,7 @@ def _check_ident(word, what: str, lineno: int) -> str:
 
 
 def _parse_tag(t, lineno: int) -> str:
-    # tags name axioms ("0", "commut", ...) or operators; ints are fine
+    # tags name axiom roles ("0", "const", "plus", ...); ints are fine
     if isinstance(t, (int, Symbol)):
         return str(t)
     raise GrammarFileError(f"line {lineno}: invalid tag {sexpr.write(t)}")
@@ -408,15 +408,15 @@ DEFAULT_GRAMMAR_TEXT = """\
 production 20 [top]          vInt  ()                  -> Int  (variable Int)
 production 10 [const,0]      zero  ()                  -> Int  0
 production 8  [const]        one   ()                  -> Int  1
-production 10 [plus,commut]  add   (a Int) (b Int)     -> Int  (+ a b)
+production 10 [plus]         add   (a Int) (b Int)     -> Int  (+ a b)
 production 6  [minus]        sub   (a Int) (b Int)     -> Int  (- a b)
-production 4  [times,commut] mul   (a Int) (b Int)     -> Int  (* a b)
+production 4  [times]        mul   (a Int) (b Int)     -> Int  (* a b)
 
 # booleans
 production 8  [top]          vBool ()                  -> Bool (variable Bool)
 production 6  [leq]          leq   (a Int) (b Int)     -> Bool (<= a b)
-production 6  [eq,commut]    eq    (a Int) (b Int)     -> Bool (= a b)
-production 3  [and,commut]   conj  (a Bool) (b Bool)   -> Bool (and a b)
+production 6  [eq]           eq    (a Int) (b Int)     -> Bool (= a b)
+production 3  [and]          conj  (a Bool) (b Bool)   -> Bool (and a b)
 production 2  [not]          neg   (a Bool)            -> Bool (not a)
 
 # branching, any type

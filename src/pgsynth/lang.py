@@ -441,25 +441,6 @@ def is_complete(e: Expr) -> bool:
     return True
 
 
-def replace_leftmost_hole(e: Expr, replacement: Expr) -> Expr:
-    done, out = _replace_leftmost(e, replacement)
-    if not done:
-        raise ValueError("expression has no hole")
-    return out
-
-
-def _replace_leftmost(e: Expr, replacement: Expr) -> tuple[bool, Expr]:
-    if isinstance(e, Hole):
-        return True, replacement
-    kids = children(e)
-    for i, c in enumerate(kids):
-        done, new_c = _replace_leftmost(c, replacement)
-        if done:
-            new_kids = kids[:i] + (new_c,) + kids[i + 1 :]
-            return True, rebuild(e, new_kids)
-    return False, e
-
-
 # ---------------------------------------------------------------------------
 # S-expression syntax for expressions
 
@@ -837,10 +818,22 @@ def _pe_ite(e: Ite, env: PartialEnv) -> "Value | _Unknown":
     return partial_eval(e.then, env) if vc.value else partial_eval(e.other, env)
 
 
+# one shared IntV per integer literal; filled on first use, so importing
+# the module builds none
+_INT_VALUES: dict[int, Value] = {}
+
+
+def _pe_int(e: IntLit, env: PartialEnv) -> Value:
+    v = _INT_VALUES.get(e.value)
+    if v is None:
+        v = _INT_VALUES[e.value] = IntV(e.value)
+    return v
+
+
 _PEVAL: dict[type, "Callable[[Expr, PartialEnv], Value | _Unknown]"] = {
     Hole: lambda e, env: UNKNOWN,
-    IntLit: lambda e, env: IntV(e.value),
-    BoolLit: lambda e, env: BoolV(e.value),
+    IntLit: _pe_int,
+    BoolLit: lambda e, env: TRUE_V if e.value else FALSE_V,
     Var: _pe_var,
     And: _pe_and,
     Ite: _pe_ite,

@@ -181,12 +181,7 @@ def _parse_test(form, fn: FunctionDef) -> tuple[tuple[str, Value], ...]:
 
 
 def load_task(path) -> RepairTask:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as err:
-        raise RepairError(f"cannot read task {path}: {err}") from None
-    return parse_task(text, Path(path).parent)
+    return parse_task(sexpr.read_file(path, RepairError, "task"), Path(path).parent)
 
 
 # ---------------------------------------------------------------------------

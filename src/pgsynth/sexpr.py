@@ -102,3 +102,13 @@ def write(form) -> str:
     if isinstance(form, str):
         return '"' + form + '"'
     return str(form)
+
+
+def read_file(path, error: type[Exception], what: str) -> str:
+    """The UTF-8 text of the file at path. A file that cannot be opened or
+    decoded raises `error("cannot read <what> <path>: ...")`."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise error(f"cannot read {what} {path}: {err}") from None

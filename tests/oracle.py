@@ -10,14 +10,35 @@ from pgsynth.lang import (
     BoolType,
     BoolV,
     ErrV,
+    Hole,
     IntType,
     IntV,
     ListType,
     ListV,
-    replace_leftmost_hole,
+    children,
+    rebuild,
     to_sexpr,
 )
 from pgsynth.sexpr import Symbol, parse_one
+
+
+def replace_leftmost_hole(e, replacement):
+    """e with its leftmost hole (in preorder) replaced."""
+    done, out = _replace_leftmost(e, replacement)
+    if not done:
+        raise ValueError("expression has no hole")
+    return out
+
+
+def _replace_leftmost(e, replacement):
+    if isinstance(e, Hole):
+        return True, replacement
+    kids = children(e)
+    for i, c in enumerate(kids):
+        done, new_c = _replace_leftmost(c, replacement)
+        if done:
+            return True, rebuild(e, kids[:i] + (new_c,) + kids[i + 1 :])
+    return False, e
 
 
 def derivations(g, nt, max_depth=None, _memo=None):
@@ -53,7 +74,7 @@ def exprs_by_depth(g, nt, depth, _memo=None, _stack=None):
     """All complete expressions derivable from nt whose expression-tree depth
     is <= depth. Unit rules (template is a bare hole) add derivation steps but
     no expression nodes, so they pass the budget through unchanged."""
-    from pgsynth.lang import Hole, holes, iter_subexprs
+    from pgsynth.lang import holes, iter_subexprs
 
     if _memo is None:
         _memo, _stack = {}, set()

@@ -189,7 +189,7 @@ def test_depth1_times_corpus_listing():
     assert (lit.name, lit.weight, lit.tags) == ("pIntLit2", 1.0, frozenset({"const"}))
     assert (lit.params, lit.body, lit.rtype) == ((), IntLit(2), Nonterminal(INT))
     assert (times.name, times.weight) == ("pIntTimes", 1.0)
-    assert times.tags == frozenset({"times", "commut"})
+    assert times.tags == frozenset({"times"})
     assert times.params == (("v0", Nonterminal(INT)), ("v1", Nonterminal(INT)))
     assert times.body == Times(Var("v0"), Var("v1"))
     assert (var.name, var.weight, var.tags) == ("pIntVariable", 1.0, frozenset({"top"}))
@@ -236,7 +236,7 @@ def test_depth1_polymorphic_kinds_keep_instantiation():
     by_name = {p.name: p for p in gf.productions}
     assert by_name["pBoolEqInt"].params == (("v0", Nonterminal(INT)), ("v1", Nonterminal(INT)))
     assert by_name["pBoolEqBool"].params == (("v0", Nonterminal(BOOL)), ("v1", Nonterminal(BOOL)))
-    assert by_name["pBoolEqInt"].tags == frozenset({"eq", "commut"})
+    assert by_name["pBoolEqInt"].tags == frozenset({"eq"})
     cons = by_name["pListIntConsInt"]
     assert cons.params == (("v0", Nonterminal(INT)), ("v1", Nonterminal(LIST_INT)))
     assert by_name["pListIntNilInt"].body == parse_expr("(nil Int)")
@@ -388,7 +388,7 @@ def test_local_bias_scales_weights():
     by_name = {p.name: p.weight for p in gf.productions}
     assert by_name == {"pIntLit1": 5.0, "pIntPlus": 5.0, "pIntVariable": 5.0}
     tags = {p.name: p.tags for p in gf.productions}
-    assert tags["pIntPlus"] == frozenset({"plus", "commut"})
+    assert tags["pIntPlus"] == frozenset({"plus"})
     custom = extract_local_bias(prog, multiplier=2.5)
     assert {p.weight for p in custom.productions} == {2.5}
 

@@ -16,7 +16,7 @@ from grammars import (
     random_recursive_pcfg,
     two_sort_grammar,
 )
-from oracle import derivations
+from oracle import derivations, replace_leftmost_hole
 from pgsynth.enumerate import (
     ASTAR,
     DIJKSTRA,
@@ -50,7 +50,6 @@ from pgsynth.lang import (
     get_at,
     holes,
     partial_eval,
-    replace_leftmost_hole,
     to_sexpr,
 )
 

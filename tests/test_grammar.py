@@ -10,7 +10,6 @@ from pgsynth.grammar import (
     discover_types,
     horizons,
     instantiate_generics,
-    instantiate_variables,
     normalize,
     split_variable_rules,
 )
@@ -141,12 +140,6 @@ def test_variable_split_empty_scope_drops_rule(caplog):
         g.start(BOOL)
 
 
-def test_instantiate_variables_on_pcfg():
-    rules = weight_table_rules()
-    g = instantiate_variables(normalize(split_variable_rules(rules, {"x": INT})), {"x": INT})
-    assert g.prob["plus"] == pytest.approx(0.2)
-
-
 # ---------------------------------------------------------------------------
 # generics
 
@@ -239,33 +232,6 @@ def test_zero_axiom_reproduces_restricted_structure():
     assert start_rule.child_nts == (any_,)
 
 
-def test_commut_axiom_orders_operand_pairs():
-    rules = [
-        R("add", INT_NT, Plus(Hole(INT_NT), Hole(INT_NT)), 2, tags("plus", "commut")),
-        R("one", INT_NT, IntLit(1), 1),
-        R("vx", INT_NT, Var("x"), 1),
-    ]
-    g = apply_axioms(normalize(rules), axioms=("commut",))
-    variants = [r for r in g.all_rules() if r.id.startswith("add~")]
-    assert len(variants) == 3
-    # every variant pins the right operand to one rule and restricts the left
-    # to rules ordered at or before it
-    def base_id(rid):
-        return rid.split("~")[0].split(".")[0]
-
-    pair_sets = set()
-    for v in variants:
-        left_nt, right_nt = v.child_nts
-        left_ids = {base_id(r.id) for r in g.rules_for(left_nt)}
-        (right_rule,) = g.rules_for(right_nt)
-        right_id = base_id(right_rule.id)
-        for li in left_ids:
-            pair_sets.add((li, right_id))
-        assert all(li <= right_id for li in left_ids)
-    assert pair_sets == {("add", "add"), ("add", "one"), ("add", "vx"), ("one", "one"),
-                         ("one", "vx"), ("vx", "vx")}
-
-
 def arithmetic_grammar():
     # single const, so the const-const exclusion is vacuous and the axiom
     # pass must preserve behaviors exactly
@@ -323,6 +289,15 @@ def test_const_const_exclusion_splits_minus():
     assert Minus(IntLit(1), Var("x")) in exprs
     assert Minus(Var("x"), IntLit(2)) in exprs
     assert Minus(Var("x"), Var("x")) in exprs
+
+    # a plus rule is split the same way, whatever other tags it carries
+    rules[0] = R("add", INT_NT, Plus(Hole(INT_NT), Hole(INT_NT)), 2, tags("plus", "commut"))
+    g = apply_axioms(normalize(rules), axioms=("const",))
+    exprs = {e for e, _ in derivations(g, g.start(INT), 2)}
+    assert Plus(IntLit(1), IntLit(2)) not in exprs
+    assert Plus(IntLit(1), IntLit(1)) not in exprs
+    assert Plus(IntLit(1), Var("x")) in exprs
+    assert Plus(Var("x"), IntLit(2)) in exprs
 
 
 # ---------------------------------------------------------------------------

