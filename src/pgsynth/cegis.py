@@ -59,6 +59,7 @@ from .lang import (
     Value,
     Var,
     compile_expr,
+    compile_partial,
     evaluate,
     expr_from_sexpr,
     identifier,
@@ -83,6 +84,14 @@ TRUE = BoolLit(True)
 
 class ProblemError(LangError):
     pass
+
+
+def check_bounds(error: type[LangError], **bounds: int | None) -> None:
+    """Raise error naming the first bound below zero; None is no bound. A
+    negative domain bound would make verification scan no point and pass."""
+    for name, n in bounds.items():
+        if n is not None and n < 0:
+            raise error(f"{name} must be at least 0, got {n}")
 
 
 def conjoin(exprs) -> Expr:
@@ -331,16 +340,18 @@ def point_outcomes(problem: SynthesisProblem, e: Expr, points, memo=None):
     candidate's partial value is equivalent to substituting the candidate
     for x, so the outcome depends on the candidate only through that value.
     memo holds one dict per point, from the candidate's partial value to the
-    outcome: the candidate is walked once per point, and the implication
-    once per point and distinct value. search shares one memo among all its
-    point checks; without one, a fresh memo serves this call alone."""
+    outcome: the candidate is compiled once per call and run on each point,
+    and the implication is evaluated once per point and distinct value.
+    search shares one memo among all its point checks; without one, a fresh
+    memo serves this call alone."""
     if memo is None:
         points = list(points)
         memo = [{} for _ in points]
     imp = problem.implication
     x = problem.output_name
+    run = compile_partial(e)
     for a, seen in zip(points, memo, strict=True):
-        v = partial_eval(e, a)
+        v = run(a)
         out = seen.get(v)
         if out is None:
             env = dict(a)
@@ -571,6 +582,7 @@ def verify(
     is true off the example's inputs, and And yields its first non-true
     operand, so full_spec is evaluated only on example inputs and the spec
     alone elsewhere, with the same verdict on every point."""
+    check_bounds(ProblemError, int_bound=int_bound, list_bound=list_bound)
     total = math.prod(domain_size(ty, int_bound, list_bound) for _, ty in problem.inputs)
     if total > max_points:
         return VerifyResult(
@@ -665,6 +677,7 @@ def cegis(
     satisfy pc, or they constrain nothing). Each iteration adds a point no
     previous candidate failed, so the loop is finite over the bounded
     verification domain; max_iterations is a safety stop."""
+    check_bounds(ProblemError, int_bound=int_bound, list_bound=list_bound)
     t0 = time.monotonic()
     stats = RunStats()
     points: list[Point] = [ex.env() for ex in problem.examples]

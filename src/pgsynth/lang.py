@@ -5,7 +5,7 @@ Every operator is declared once, as an `Operator` record in `OPERATORS`: its
 node class and operand fields, its surface tag, its type signature over the
 one type variable 'a, and its strict apply (none for the lazy `and` and
 `if`). Parsing, printing, the reserved words, `type_of`, `children`,
-`partial_eval`, `compile_expr` and corpus kinds are all read off that table.
+the compiled evaluators and corpus kinds are all read off that table.
 
 Evaluation is strict except for `and` (left short-circuit) and `if` (only the
 taken branch runs). The only runtime error is head/tail of an empty list; it
@@ -19,17 +19,22 @@ one closure on every point. `evaluate(e, env)` is compile-and-run, and
 reached. Expressions and values are immutable slotted nodes that cache their
 hash.
 
-`partial_eval` interprets expressions that still contain holes; search
-evaluates each candidate on a few points only, too few to repay compiling.
-A definite non-error Value means every type-correct completion of the holes
-evaluates to that value. A definite ErrV means every completion errs,
-possibly for another reason: a completion of a hole to the left of the error
-may err first. Otherwise it returns the UNKNOWN marker.
+The same closures evaluate expressions that still contain holes:
+`compile_partial` differs from `compile_expr` only in compiling each hole to
+a closure that yields the UNKNOWN marker, and `partial_eval(e, env)` is
+compile-and-run; search's point checks compile a candidate once and run it
+on each point. A definite non-error Value means every type-correct
+completion of the holes evaluates to that value or errs: an `if` whose
+condition is unknown yields the value both branches agree on, and a
+completion of the condition may err. A definite ErrV means every completion
+errs, possibly for another reason: a completion of a hole to the left of the
+error may err first. Otherwise the result is UNKNOWN. An error that
+evaluation reaches is always the result, so no completion of a definite
+false is true, which is what pruning relies on.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple
@@ -459,7 +464,7 @@ def expr_to_sexpr(e: Expr):
             out.append(Symbol(e.nt.attr))
         return out
     op = OPERATORS[cls]
-    out = [Symbol(op.tag)] + [expr_to_sexpr(c) for c in children(e)]
+    out = [Symbol(op.tag), *map(expr_to_sexpr, children(e))]  # a frame per level
     if op.type_field is not None:
         out.append(type_to_sexpr(getattr(e, op.type_field)))
     return out
@@ -595,6 +600,7 @@ def type_of(e: Expr, scope: Scope) -> Type:
 # Evaluation
 
 Env = dict[str, Value]
+PartialEnv = dict[str, "Value | _Unknown"]
 
 
 def evaluate(e: Expr, env: Env) -> Value:
@@ -607,10 +613,46 @@ def compile_expr(e: Expr) -> Callable[[Env], Value]:
     over its operands' closures. A hole or an unbound variable raises
     EvalError only when the closure reaches it, so an untaken branch or a
     short-circuited operand may hold one."""
-    get = _CHILD_GETTERS.get(e.__class__)
-    if get is None:
-        return _COMPILE.get(e.__class__, _c_unknown)(e)
-    return _COMPILE[e.__class__](e, *map(compile_expr, get(e)))
+    return _compile_complete(e)
+
+
+def partial_eval(e: Expr, env: PartialEnv) -> "Value | _Unknown":
+    """Evaluate under holes: a definite Value or ErrV, or UNKNOWN while the
+    result depends on them (the module docstring says what a definite
+    result promises). The closure of the last expression object is kept, so
+    point checks, which evaluate a problem's implication on each memo miss,
+    compile it once."""
+    global _last_partial
+    last, run = _last_partial
+    if last is not e:
+        run = compile_partial(e)
+        _last_partial = e, run
+    return run(env)
+
+
+_last_partial: tuple = (None, None)  # partial_eval's last expression and closure
+
+
+def compile_partial(e: Expr) -> "Callable[[PartialEnv], Value | _Unknown]":
+    """partial_eval compiled once for many environments: compile_expr's
+    closures, except that a hole yields UNKNOWN."""
+    return _compile_partial(e)
+
+
+def _compiler(hole: Callable[[Env], Value]) -> Callable[[Expr], Callable[[Env], Value]]:
+    """The compiler that compiles each hole to hole. It recurses through
+    map, one stack frame per level."""
+
+    def compile(e: Expr) -> Callable[[Env], Value]:
+        cls = e.__class__
+        get = _CHILD_GETTERS.get(cls)
+        if get is not None:
+            return _COMPILE[cls](e, *map(compile, get(e)))
+        if cls is Hole:
+            return hole
+        return _COMPILE.get(cls, _c_unknown)(e)
+
+    return compile
 
 
 def eval_trace(e: Expr, env: Env) -> tuple[Value, set[tuple[int, ...]]]:
@@ -635,7 +677,7 @@ def compile_trace(e: Expr) -> Callable[[Env], tuple[Value, set[tuple[int, ...]]]
 
 def _compile_traced(e: Expr, visited: set, path: tuple[int, ...]) -> Callable[[Env], Value]:
     kids = [_compile_traced(k, visited, path + (i,)) for i, k in enumerate(children(e))]
-    run = _COMPILE.get(e.__class__, _c_unknown)(e, *kids)
+    run = _c_hole if e.__class__ is Hole else _COMPILE.get(e.__class__, _c_unknown)(e, *kids)
 
     def visit(env):
         visited.add(path)
@@ -652,9 +694,30 @@ def _c_const(v: Value):
     return lambda env: v
 
 
-def _c_var(e: Var):
-    name = e.name
+_TRUE_RUN, _FALSE_RUN = _c_const(TRUE_V), _c_const(FALSE_V)
 
+# candidates share their leaves, so each integer literal compiles to one
+# shared closure (and so one shared IntV) and each variable name to one
+# lookup; filled on first use, so importing the module builds none
+_INT_CONSTS: dict[int, Callable[[Env], Value]] = {}
+_VAR_LOOKUPS: dict[str, Callable[[Env], Value]] = {}
+
+
+def _c_int(e: IntLit):
+    run = _INT_CONSTS.get(e.value)
+    if run is None:
+        run = _INT_CONSTS[e.value] = _c_const(IntV(e.value))
+    return run
+
+
+def _c_var(e: Var):
+    run = _VAR_LOOKUPS.get(e.name)
+    if run is None:
+        run = _VAR_LOOKUPS[e.name] = _c_lookup(e.name)
+    return run
+
+
+def _c_lookup(name: str):
     def run(env):
         try:
             return env[name]
@@ -668,43 +731,57 @@ def _c_hole(env):
     raise EvalError("cannot evaluate an expression with holes")
 
 
+def _c_open(env):
+    return UNKNOWN
+
+
+_compile_complete = _compiler(_c_hole)
+_compile_partial = _compiler(_c_open)
+
+
 def _c_strict(op: Operator):
+    """The compiler of op's nodes, from its operands' closures."""
     apply = op.apply
     if not op.operands:
-        return lambda e: _c_const(apply())
+        run = _c_const(apply())
+        return lambda e: run
     if len(op.operands) == 1:
-        return lambda e, a: _c_strict1(apply, a)
-    return lambda e, a, b: _c_strict2(apply, a, b)
 
+        def compile1(e, a):
+            def run(env):
+                va = a(env)
+                return va if va.__class__ is ErrV or va is UNKNOWN else apply(va)
 
-def _c_strict2(apply, a, b):
-    # both operands always run; errors propagate left-first
-    def run(env):
-        va = a(env)
-        vb = b(env)
-        if va.__class__ is ErrV:
-            return va
-        if vb.__class__ is ErrV:
-            return vb
-        return apply(va, vb)
+            return run
 
-    return run
+        return compile1
 
+    def compile2(e, a, b):
+        # both operands always run; errors propagate left-first, and an
+        # error outranks an unknown operand, since every completion errs
+        def run(env):
+            va = a(env)
+            vb = b(env)
+            if va.__class__ is ErrV:
+                return va
+            if vb.__class__ is ErrV:
+                return vb
+            if va is UNKNOWN or vb is UNKNOWN:
+                return UNKNOWN
+            return apply(va, vb)
 
-def _c_strict1(apply, a):
-    def run(env):
-        va = a(env)
-        return va if va.__class__ is ErrV else apply(va)
+        return run
 
-    return run
+    return compile2
 
 
 def _c_and(e: And, a, b):
+    # an ErrV, false or UNKNOWN left operand is the result
     def run(env):
         va = a(env)
-        if va.__class__ is ErrV or (va.__class__ is BoolV and not va.value):
-            return va
-        return b(env)
+        if va.__class__ is BoolV and va.value:
+            return b(env)
+        return va
 
     return run
 
@@ -712,130 +789,24 @@ def _c_and(e: And, a, b):
 def _c_ite(e: Ite, c, t, o):
     def run(env):
         vc = c(env)
-        if vc.__class__ is ErrV:
-            return vc
-        return t(env) if vc.value else o(env)
+        if vc.__class__ is BoolV:
+            return t(env) if vc.value else o(env)
+        if vc is UNKNOWN:
+            # the branches may still agree on every completion
+            vt = t(env)
+            return vt if vt is not UNKNOWN and vt == o(env) else UNKNOWN
+        return vc
 
     return run
 
 
-# candidate scoring and the verification scan evaluate millions of nodes;
-# both the compiler and partial_eval dispatch on node class through tables
+# candidate checks and the verification scan evaluate millions of nodes, so
+# the compiler dispatches on node class through a table
 _COMPILE: dict[type, Callable[..., Callable[[Env], Value]]] = {
-    IntLit: lambda e: _c_const(IntV(e.value)),
-    BoolLit: lambda e: _c_const(TRUE_V if e.value else FALSE_V),
+    IntLit: _c_int,
+    BoolLit: lambda e: _TRUE_RUN if e.value else _FALSE_RUN,
     Var: _c_var,
-    Hole: lambda e: _c_hole,
     And: _c_and,
     Ite: _c_ite,
     **{cls: _c_strict(op) for cls, op in OPERATORS.items() if op.apply is not None},
-}
-
-
-# ---------------------------------------------------------------------------
-# Partial evaluation
-
-PartialEnv = dict[str, "Value | _Unknown"]
-
-
-def partial_eval(e: Expr, env: PartialEnv) -> "Value | _Unknown":
-    """Evaluate under holes. A definite non-error Value means every
-    completion of the holes evaluates to it; UNKNOWN means the result still
-    depends on them. ErrV counts as definite, since strict operators
-    propagate an error whatever the unknown parts turn out to be: every
-    completion errs, though possibly for another reason, as a completed
-    hole left of the error may err first."""
-    f = _PEVAL.get(e.__class__)
-    if f is None:
-        raise EvalError(f"unknown leaf {e!r}")
-    return f(e, env)
-
-
-def _pe_var(e: Var, env: PartialEnv) -> "Value | _Unknown":
-    try:
-        return env[e.name]
-    except KeyError:
-        raise EvalError(f"unbound variable {e.name}") from None
-
-
-def _pe_strict(op: Operator) -> "Callable[[Expr, PartialEnv], Value | _Unknown]":
-    apply = op.apply
-    if not op.operands:
-        return lambda e, env: apply()
-    if len(op.operands) == 1:
-        return _pe_unop(apply, operator.attrgetter(op.operands[0]))
-    return _pe_binop(apply, _CHILD_GETTERS[op.cls])
-
-
-def _pe_binop(apply, get) -> "Callable[[Expr, PartialEnv], Value | _Unknown]":
-    def pe(e, env):
-        a, b = get(e)
-        va = partial_eval(a, env)
-        if va.__class__ is ErrV:
-            return va
-        vb = partial_eval(b, env)
-        if vb.__class__ is ErrV:
-            return vb
-        if va is UNKNOWN or vb is UNKNOWN:
-            return UNKNOWN
-        return apply(va, vb)
-
-    return pe
-
-
-def _pe_unop(apply, get) -> "Callable[[Expr, PartialEnv], Value | _Unknown]":
-    def pe(e, env):
-        va = partial_eval(get(e), env)
-        if va.__class__ is ErrV:
-            return va
-        if va is UNKNOWN:
-            return UNKNOWN
-        return apply(va)
-
-    return pe
-
-
-def _pe_and(e: And, env: PartialEnv) -> "Value | _Unknown":
-    va = partial_eval(e.left, env)
-    if va is UNKNOWN:
-        return UNKNOWN
-    if va.__class__ is ErrV or va == FALSE_V:
-        return va
-    return partial_eval(e.right, env)
-
-
-def _pe_ite(e: Ite, env: PartialEnv) -> "Value | _Unknown":
-    vc = partial_eval(e.cond, env)
-    if vc is UNKNOWN:
-        # the branches may still agree on every completion
-        vt = partial_eval(e.then, env)
-        if vt is UNKNOWN:
-            return UNKNOWN
-        vo = partial_eval(e.other, env)
-        return vt if vt == vo else UNKNOWN
-    if vc.__class__ is ErrV:
-        return vc
-    return partial_eval(e.then, env) if vc.value else partial_eval(e.other, env)
-
-
-# one shared IntV per integer literal; filled on first use, so importing
-# the module builds none
-_INT_VALUES: dict[int, Value] = {}
-
-
-def _pe_int(e: IntLit, env: PartialEnv) -> Value:
-    v = _INT_VALUES.get(e.value)
-    if v is None:
-        v = _INT_VALUES[e.value] = IntV(e.value)
-    return v
-
-
-_PEVAL: dict[type, "Callable[[Expr, PartialEnv], Value | _Unknown]"] = {
-    Hole: lambda e, env: UNKNOWN,
-    IntLit: _pe_int,
-    BoolLit: lambda e, env: TRUE_V if e.value else FALSE_V,
-    Var: _pe_var,
-    And: _pe_and,
-    Ite: _pe_ite,
-    **{cls: _pe_strict(op) for cls, op in OPERATORS.items() if op.apply is not None},
 }

@@ -33,6 +33,7 @@ from .cegis import (
     SynthesisProblem,
     bounded_points,
     cegis,
+    check_bounds,
     conjoin,
     domain_size,
     value_fits,
@@ -223,6 +224,7 @@ def generate_tests(
     postcondition. User tests come first and must satisfy the precondition."""
     if fn.ensures is None:
         raise RepairError(f"def {fn.name} has no (ensures ...) contract")
+    check_bounds(RepairError, int_bound=int_bound, list_bound=list_bound)
     pre = None if fn.requires is None else compile_expr(fn.requires)
     total = math.prod(domain_size(t, int_bound, list_bound) for _, t in fn.params)
     if total > max_points:
@@ -385,6 +387,7 @@ def repair(
     local-bias extraction of the program under repair. The result's
     wall_time covers the whole call."""
     t0 = time.monotonic()
+    check_bounds(RepairError, max_locations=max_locations)
     fn = task.program.find(task.function)
     if fn is None:
         raise RepairError(f"function {task.function} not found")

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 
 # The deepest list nesting the reader accepts. The recursive walks that
-# follow parsing (conversion, type checking, evaluation, printing) take up to
-# three stack frames per level: a problem spec about 330 levels deep exhausts
-# Python's default limit of 1000 frames. At 200 an accepted input still
-# leaves room for the caller's own frames.
+# follow parsing (conversion, type checking, hashing) take up to two stack
+# frames per level: a problem spec about 495 levels deep exhausts Python's
+# default limit of 1000 frames. At 200 an accepted input still leaves room
+# for the caller's own frames, and for repair's location specs, which nest a
+# function's body inside its ensures.
 MAX_DEPTH = 200
 
 
@@ -95,8 +96,31 @@ def parse_one(text: str):
 
 
 def write(form) -> str:
-    if isinstance(form, list):
-        return "(" + " ".join(write(f) for f in form) + ")"
+    """The text of form. The writer keeps its own stack of open lists, so a
+    list of any depth prints without exhausting Python's stack."""
+    out: list[str] = []
+    stack = [iter((form,))]  # one iterator per open list, under the form itself
+    first = True  # the next item opens its list, so no space goes before it
+    while stack:
+        for f in stack[-1]:
+            if not first:
+                out.append(" ")
+            first = False
+            if isinstance(f, list):
+                out.append("(")
+                stack.append(iter(f))
+                first = True
+                break
+            out.append(_write_atom(f))
+        else:
+            stack.pop()
+            if stack:
+                out.append(")")
+            first = False
+    return "".join(out)
+
+
+def _write_atom(form) -> str:
     if isinstance(form, Symbol):
         return str(form)
     if isinstance(form, str):

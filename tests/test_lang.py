@@ -63,7 +63,7 @@ from pgsynth.lang import (
     value_to_expr,
 )
 
-from oracle import replace_leftmost_hole
+from oracle import ORACLE_ERR, oracle_eval_expr, replace_leftmost_hole, to_py
 
 X = Var("x")
 INT_NT = Nonterminal(INT)
@@ -353,6 +353,17 @@ def test_sexpr_reader_quoted_parens_are_strings():
     assert parse_all('("(" ")") x') == [["(", ")"], Symbol("x")]
 
 
+def test_sexpr_write_nests_a_thousand_deep():
+    from pgsynth.sexpr import Symbol, write
+
+    assert write([Symbol("f"), "s", [1, [], [-2]], []]) == '(f "s" (1 () (-2)) ())'
+    assert write(Symbol("x")) == "x" and write(7) == "7" and write([]) == "()"
+    form = [Symbol("x"), 1]
+    for _ in range(999):
+        form = [Symbol("not"), form]
+    assert write(form) == "(not " * 999 + "(x 1)" + ")" * 999
+
+
 def test_hole_parsing():
     e = parse_expr("(? Int NZ)")
     assert e == Hole(Nonterminal(INT, "NZ"))
@@ -487,6 +498,68 @@ def test_eval_agrees_with_sexpr_oracle():
         got = to_py(evaluate(e, env))
         want_v = oracle_eval_expr(e, {n: to_py(v) for n, v in env.items()})
         assert got == want_v, to_sexpr(e)
+
+
+# Int, Bool and (List Int) operands for the oracle check below; the Int and
+# list sets each hold an expression that errs
+TYPED_UNIVERSES = {
+    INT: [IntLit(0), IntLit(1), X, Head(Nil(INT))],
+    BOOL: [BoolLit(True), BoolLit(False), Leq(X, IntLit(0))],
+    LIST_INT: [Nil(INT), Cons(X, Nil(INT)), Cons(IntLit(1), Cons(X, Nil(INT))), Tail(Nil(INT))],
+}
+# for each type, the operators that build it, with their operand types
+TYPED_SHAPES = {
+    INT: [(Plus, INT, INT), (Head, LIST_INT), (Size, LIST_INT), (Ite, BOOL, INT, INT)],
+    BOOL: [
+        (And, BOOL, BOOL), (Not, BOOL), (IsEmpty, LIST_INT), (Leq, INT, INT),
+        (Eq, LIST_INT, LIST_INT), (Ite, BOOL, BOOL, BOOL),
+    ],
+    LIST_INT: [(Cons, INT, LIST_INT), (Tail, LIST_INT), (Ite, BOOL, LIST_INT, LIST_INT)],
+}
+
+
+def random_typed_partial_expr(rng, depth, want):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.3:
+            return Hole(Nonterminal(want))
+        return rng.choice(TYPED_UNIVERSES[want])
+    cls, *params = rng.choice(TYPED_SHAPES[want])
+    return cls(*(random_typed_partial_expr(rng, depth - 1, t) for t in params))
+
+
+def test_partial_eval_definite_results_agree_with_the_oracle():
+    # the referee is oracle.py's own interpreter, not the compiled closures.
+    # A definite ErrV means every completion errs (ORACLE_ERR); a definite
+    # value is what every completion evaluates to, unless it errs: an if whose
+    # condition is unknown yields the value its branches agree on, though a
+    # completion of the condition may err, as (if (<= 0 (? Int)) 5 5) does
+    # with (head (nil Int))
+    rng = random.Random(13)
+    values = {INT: 0, BOOL: 0, LIST_INT: 0}
+    errors = 0
+    for _ in range(2000):
+        want = rng.choice(list(TYPED_SHAPES))
+        e = random_typed_partial_expr(rng, 3, want)
+        hs = holes(e)
+        if not hs or len(hs) > 3:
+            continue
+        r = partial_eval(e, ENV)
+        if r is UNKNOWN:
+            continue
+        if isinstance(r, ErrV):
+            errors += 1
+        else:
+            values[want] += 1
+        seen = set()
+        for combo in itertools.product(*(TYPED_UNIVERSES[nt.base] for nt in hs)):
+            filled = e
+            for c in combo:
+                filled = replace_leftmost_hole(filled, c)
+            got = oracle_eval_expr(filled, {"x": 2})
+            assert got is ORACLE_ERR or got == to_py(r), to_sexpr(filled)
+            seen.add(got)
+        assert to_py(r) in seen, to_sexpr(e)
+    assert min(values.values()) > 10 and errors > 100, (values, errors)
 
 
 def test_type_of_agrees_with_sexpr_oracle():

@@ -8,9 +8,12 @@ import time
 
 import pytest
 
-from pgsynth.cegis import SynthesisProblem, bounded_points
+from pgsynth.cegis import (
+    ProblemError, SynthesisProblem, bounded_points, cegis, parse_problem, verify,
+)
 from pgsynth.corpus import parse_program, emit_program
-from pgsynth.grammarfile import parse_grammar_file, DEFAULT_GRAMMAR_TEXT
+from pgsynth.grammar import normalize
+from pgsynth.grammarfile import parse_grammar_file, DEFAULT_GRAMMAR_TEXT, desugar
 from pgsynth.lang import (
     BOOL,
     INT,
@@ -283,6 +286,57 @@ def test_generate_tests_domain_budget():
 
 
 # ---------------------------------------------------------------------------
+# Negative bounds
+
+
+BOUNDS_PROBLEM = """
+(problem (inputs (a Int) (l (List Int))) (output x Int) (spec (= x (+ a (size l)))))
+"""
+BOUNDS_PROGRAM = """
+(def f ((a Int) (l (List Int))) -> Int (ensures (= result (+ a (size l)))) a)
+"""
+
+
+def _bounds_cegis(**bound):
+    problem = parse_problem(BOUNDS_PROBLEM)
+    g = normalize(desugar(parse_grammar_file(DEFAULT_GRAMMAR_TEXT), problem.scope))
+    return cegis(problem, g, **bound)
+
+
+def _bounds_verify(**bound):
+    return verify(parse_problem(BOUNDS_PROBLEM), parse_expr("a"), **bound)
+
+
+def _bounds_generate_tests(**bound):
+    return generate_tests(parse_program(BOUNDS_PROGRAM).find("f"), **bound)
+
+
+def _bounds_repair(**bound):
+    return repair(RepairTask(parse_program(BOUNDS_PROGRAM), "f"), **bound)
+
+
+@pytest.mark.parametrize(
+    "entry, error, bound",
+    [
+        (_bounds_cegis, ProblemError, "int_bound"),
+        (_bounds_cegis, ProblemError, "list_bound"),
+        (_bounds_verify, ProblemError, "int_bound"),
+        (_bounds_verify, ProblemError, "list_bound"),
+        (_bounds_generate_tests, RepairError, "int_bound"),
+        (_bounds_generate_tests, RepairError, "list_bound"),
+        (_bounds_repair, RepairError, "int_bound"),
+        (_bounds_repair, RepairError, "list_bound"),
+        (_bounds_repair, RepairError, "max_locations"),
+    ],
+)
+def test_negative_bound_is_rejected(entry, error, bound):
+    # an empty domain would verify anything (scanned=0), or, for
+    # max_locations, slice off the last location
+    with pytest.raises(error, match=f"{bound} must be at least 0, got -1"):
+        entry(**{bound: -1})
+
+
+# ---------------------------------------------------------------------------
 # Fault localization
 
 
@@ -441,6 +495,20 @@ def test_location_problem_composes_specs_deeper_than_the_reader_allows():
     problem = location_problem(fn, (1,) * n)
     assert max(len(path) for path, _ in iter_subexprs(problem.spec)) > 2 * n
     assert problem.output_type == INT
+
+
+def test_location_problem_deep_spec_prints():
+    # the 384-level spec of the test above prints, though the reader would
+    # refuse text this deep
+    n = MAX_DEPTH - 10
+    body = "(+ a " * n + "1" + ")" * n
+    ensures = "(not " * (n + 3) + "(= result a)" + ")" * (n + 3)
+    fn = parse_program(f"(def f ((a Int)) -> Int (ensures {ensures}) {body})").find("f")
+    spec = location_problem(fn, (1,) * n).spec
+    assert max(len(path) for path, _ in iter_subexprs(spec)) == 384
+    text = to_sexpr(spec)
+    assert text.startswith("(not " * (n + 3) + "(= (+ a ")
+    assert text.count("(") == text.count(")") == 2 * n + 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""Static checks over the package source."""
+"""Static checks over the package source, and that the benchmark's spans
+still find every function they wrap."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pgsynth"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pgsynth"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -38,3 +42,23 @@ def test_no_unused_imports(path):
 def test_unused_import_check_sees_an_unused_name():
     tree = ast.parse('import os\nfrom a import b, c as d\nx: "d" = b\n')
     assert unused_imports(tree) == ["os"]
+
+
+# spans.install over the modules perfbench/run.py traces
+INSTALL_SPANS = """
+import importlib, sys
+sys.path[:0] = sys.argv[1:]
+import run, spans
+pg = {m: importlib.import_module("pgsynth." + m) for m in run.MODULES}
+spans.install(spans.Tracer(), pg)
+"""
+
+
+def test_benchmark_spans_install():
+    # spans.install wraps functions by name, so a renamed or deleted one
+    # fails here, in a fresh interpreter whose pgsynth no test has touched
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    proc = subprocess.run(
+        [sys.executable, "-c", INSTALL_SPANS, *paths], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
