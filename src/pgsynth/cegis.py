@@ -44,31 +44,29 @@ from .lang import (
     BoolLit,
     BoolType,
     BoolV,
-    Cons,
     Eq,
     Expr,
-    IntLit,
     IntType,
     IntV,
     Ite,
     LangError,
     ListType,
     ListV,
-    Nil,
     Type,
     Value,
     Var,
+    binding,
     compile_expr,
     compile_partial,
     evaluate,
     expr_from_sexpr,
-    identifier,
     is_complete,
+    literal_value,
     partial_eval,
-    type_from_sexpr,
     type_is_ground,
     type_of,
     type_str,
+    typed_name,
     value_str,
     value_to_expr,
 )
@@ -86,11 +84,12 @@ class ProblemError(LangError):
     pass
 
 
-def check_bounds(error: type[LangError], **bounds: int | None) -> None:
-    """Raise error naming the first bound below zero; None is no bound. A
-    negative domain bound would make verification scan no point and pass."""
+def check_bounds(error: type[LangError], **bounds: float | None) -> None:
+    """Raise error naming the first bound below zero or NaN; None is no
+    bound. A negative domain bound would make verification scan no point
+    and pass, and a negative budget would read as an exhausted one."""
     for name, n in bounds.items():
-        if n is not None and n < 0:
+        if n is not None and not n >= 0:
             raise error(f"{name} must be at least 0, got {n}")
 
 
@@ -211,78 +210,13 @@ class SynthesisProblem:
 # Problem files
 
 
-def _clauses(form, head: str, error: type[LangError] = ProblemError) -> dict[str, list]:
-    """The clauses of a (head (name ...) ...) form by name; a malformed form
-    raises error. Problem and repair task files share it."""
-    if not (isinstance(form, list) and form and form[0] == Symbol(head)):
-        raise error(f"expected a ({head} ...) form")
-    out: dict[str, list] = {}
-    for clause in form[1:]:
-        if not (isinstance(clause, list) and clause and isinstance(clause[0], Symbol)):
-            raise error(f"bad clause {sexpr.write(clause)}")
-        name = str(clause[0])
-        if name in out:
-            raise error(f"duplicate clause ({name} ...)")
-        out[name] = clause[1:]
-    return out
-
-
-def _typed_pair(form) -> tuple[str, Type]:
-    if not (isinstance(form, list) and len(form) == 2):
-        raise ProblemError(f"expected (name Type), got {sexpr.write(form)}")
-    try:
-        return identifier(form[0], ProblemError, "input name"), type_from_sexpr(form[1])
-    except LangError as err:
-        raise ProblemError(str(err)) from None
-
-
-def _expr(form) -> Expr:
-    try:
-        return expr_from_sexpr(form)
-    except (SexprError, LangError) as err:
-        raise ProblemError(str(err)) from None
-
-
-def _is_literal(e: Expr) -> bool:
-    while isinstance(e, Cons):
-        if not _is_literal(e.head):
-            return False
-        e = e.tail
-    return isinstance(e, (IntLit, BoolLit, Nil))
-
-
-def _literal_value(form) -> Value:
-    """The value of a literal: an int or bool atom, (nil T), or cons of
-    literals, the forms value_to_expr writes. Any other expression is
-    rejected even when it evaluates to a value, e.g. (+ 1 2) or
-    (head (nil Int))."""
-    e = _expr(form)
-    if not is_complete(e):
-        raise ProblemError(f"value {sexpr.write(form)} contains a hole")
-    try:
-        type_of(e, {})
-    except LangError as err:
-        raise ProblemError(f"bad literal value {sexpr.write(form)}: {err}") from None
-    if not _is_literal(e):
-        raise ProblemError(
-            f"value {sexpr.write(form)} is not a literal "
-            "(an int or bool atom, (nil T), or cons of literals)"
-        )
-    return evaluate(e, {})
-
-
 def _example(form) -> IoExample:
     if not isinstance(form, list) or Symbol("=>") not in form:
-        raise ProblemError(f"example must be ((name value) ... => expected), got {sexpr.write(form)}")
+        raise SexprError(f"example must be ((name value) ... => expected), got {sexpr.write(form)}")
     sep = form.index(Symbol("=>"))
     if sep != len(form) - 2:
-        raise ProblemError("example needs exactly one expected value after =>")
-    bindings = []
-    for b in form[:sep]:
-        if not (isinstance(b, list) and len(b) == 2):
-            raise ProblemError(f"example binding must be (name value), got {sexpr.write(b)}")
-        bindings.append((identifier(b[0], ProblemError, "input name"), _literal_value(b[1])))
-    return IoExample(tuple(bindings), _literal_value(form[-1]))
+        raise SexprError("example needs exactly one expected value after =>")
+    return IoExample(tuple(binding(b, "example") for b in form[:sep]), literal_value(form[-1]))
 
 
 def parse_problem(text: str) -> SynthesisProblem:
@@ -291,34 +225,27 @@ def parse_problem(text: str) -> SynthesisProblem:
     are optional; the result is validated. Example values are literals: int
     or bool atoms, (nil T), or cons of literals."""
     try:
-        form = sexpr.parse_one(text)
-    except SexprError as err:
+        clauses = sexpr.clauses(
+            sexpr.parse_one(text), "problem", ("output",),
+            ("inputs", "pc", "spec", "examples", "grammar"),
+        )
+        if len(clauses["output"]) != 2:
+            raise SexprError("output clause must be (output name Type)")
+        for name in ("pc", "spec"):
+            if name in clauses and len(clauses[name]) != 1:
+                raise SexprError(f"{name} clause takes exactly one expression")
+        inputs = tuple(typed_name(f, "input") for f in clauses.get("inputs", []))
+        out_name, out_type = typed_name(clauses["output"], "output")
+        pc = expr_from_sexpr(clauses["pc"][0]) if "pc" in clauses else TRUE
+        spec = expr_from_sexpr(clauses["spec"][0]) if "spec" in clauses else TRUE
+        examples = tuple(_example(f) for f in clauses.get("examples", []))
+        grammar_ref = None
+        if "grammar" in clauses:
+            if len(clauses["grammar"]) != 1 or not sexpr.is_string(clauses["grammar"][0]):
+                raise SexprError('grammar clause must be (grammar "path")')
+            grammar_ref = clauses["grammar"][0]
+    except (SexprError, LangError) as err:
         raise ProblemError(str(err)) from None
-    clauses = _clauses(form, "problem")
-    unknown = set(clauses) - {"inputs", "output", "pc", "spec", "examples", "grammar"}
-    if unknown:
-        raise ProblemError(f"unknown clause(s): {', '.join(sorted(unknown))}")
-    if "output" not in clauses:
-        raise ProblemError("missing (output name Type) clause")
-    if len(clauses["output"]) != 2:
-        raise ProblemError("output clause must be (output name Type)")
-    for name in ("pc", "spec"):
-        if name in clauses and len(clauses[name]) != 1:
-            raise ProblemError(f"{name} clause takes exactly one expression")
-    inputs = tuple(_typed_pair(f) for f in clauses.get("inputs", []))
-    out_name = identifier(clauses["output"][0], ProblemError, "output name")
-    try:
-        out_type = type_from_sexpr(clauses["output"][1])
-    except LangError as err:
-        raise ProblemError(str(err)) from None
-    pc = _expr(clauses["pc"][0]) if "pc" in clauses else TRUE
-    spec = _expr(clauses["spec"][0]) if "spec" in clauses else TRUE
-    examples = tuple(_example(f) for f in clauses.get("examples", []))
-    grammar_ref = None
-    if "grammar" in clauses:
-        if len(clauses["grammar"]) != 1 or not isinstance(clauses["grammar"][0], str) or isinstance(clauses["grammar"][0], Symbol):
-            raise ProblemError('grammar clause must be (grammar "path")')
-        grammar_ref = clauses["grammar"][0]
     return SynthesisProblem(
         inputs, out_name, out_type, pc, spec, examples, grammar_ref
     ).validate()
@@ -582,7 +509,7 @@ def verify(
     is true off the example's inputs, and And yields its first non-true
     operand, so full_spec is evaluated only on example inputs and the spec
     alone elsewhere, with the same verdict on every point."""
-    check_bounds(ProblemError, int_bound=int_bound, list_bound=list_bound)
+    check_bounds(ProblemError, int_bound=int_bound, list_bound=list_bound, max_points=max_points)
     total = math.prod(domain_size(ty, int_bound, list_bound) for _, ty in problem.inputs)
     if total > max_points:
         return VerifyResult(
@@ -677,7 +604,10 @@ def cegis(
     satisfy pc, or they constrain nothing). Each iteration adds a point no
     previous candidate failed, so the loop is finite over the bounded
     verification domain; max_iterations is a safety stop."""
-    check_bounds(ProblemError, int_bound=int_bound, list_bound=list_bound)
+    check_bounds(
+        ProblemError, int_bound=int_bound, list_bound=list_bound, max_points=max_points,
+        max_dequeues=max_dequeues, timeout_s=timeout_s, max_iterations=max_iterations,
+    )
     t0 = time.monotonic()
     stats = RunStats()
     points: list[Point] = [ex.env() for ex in problem.examples]

@@ -52,6 +52,7 @@ from .lang import (
     type_of,
     type_str,
     type_vars,
+    typed_name,
 )
 from .sexpr import SexprError, Symbol
 
@@ -127,22 +128,6 @@ class CorpusProgram:
 # Parsing
 
 
-def _parse_param(form) -> tuple[str, Type]:
-    if not (isinstance(form, list) and len(form) == 2):
-        raise CorpusError(f"parameter must be (name Type), got {sexpr.write(form)}")
-    try:
-        return identifier(form[0], CorpusError, "parameter name"), type_from_sexpr(form[1])
-    except LangError as err:
-        raise CorpusError(str(err)) from None
-
-
-def _parse_expr(form, what: str) -> Expr:
-    try:
-        return expr_from_sexpr(form)
-    except (SexprError, LangError) as err:
-        raise CorpusError(f"{what}: {err}") from None
-
-
 _CONTRACT_HEADS = ("requires", "ensures")
 
 
@@ -157,35 +142,35 @@ def _is_contract_clause(form) -> bool:
 
 def parse_def(form) -> FunctionDef:
     """Parse one `(def name ((p T) ...) -> T clauses... body)` form, where
-    clauses are at most one (requires e) and one (ensures e)."""
+    clauses are at most one (requires e) and one (ensures e). A malformed
+    form raises CorpusError, which names the def."""
     if not (isinstance(form, list) and form and form[0] == Symbol("def")):
         raise CorpusError(f"expected a (def ...) form, got {sexpr.write(form)}")
     if len(form) < 6:
         raise CorpusError("truncated def: expected (def name ((p T) ...) -> T body)")
-    name = identifier(form[1], CorpusError, "function name")
-    if not isinstance(form[2], list):
-        raise CorpusError(f"def {name}: expected a ((p T) ...) parameter list")
-    params = tuple(_parse_param(p) for p in form[2])
-    if form[3] != Symbol("->"):
-        raise CorpusError(f"def {name}: expected -> after the parameter list")
     try:
+        name = identifier(form[1], "function name")
+        if not isinstance(form[2], list):
+            raise SexprError("expected a ((p T) ...) parameter list")
+        params = tuple(typed_name(p, "parameter") for p in form[2])
+        if form[3] != Symbol("->"):
+            raise SexprError("expected -> after the parameter list")
         rtype = type_from_sexpr(form[4])
-    except LangError as err:
-        raise CorpusError(f"def {name}: {err}") from None
-
-    contracts: dict[str, Expr] = {}
-    rest = form[5:]
-    while len(rest) > 1 and _is_contract_clause(rest[0]):
-        head = str(rest[0][0])
-        if head in contracts:
-            raise CorpusError(f"def {name}: duplicate ({head} ...) clause")
-        contracts[head] = _parse_expr(rest[0][1], f"def {name}: {head}")
-        rest = rest[1:]
-    if len(rest) != 1:
-        raise CorpusError(f"def {name}: expected contract clauses then exactly one body")
-    if _is_contract_clause(rest[0]):
-        raise CorpusError(f"def {name}: missing function body")
-    body = _parse_expr(rest[0], f"def {name}: body")
+        contracts: dict[str, Expr] = {}
+        rest = form[5:]
+        while len(rest) > 1 and _is_contract_clause(rest[0]):
+            head = str(rest[0][0])
+            if head in contracts:
+                raise SexprError(f"duplicate ({head} ...) clause")
+            contracts[head] = expr_from_sexpr(rest[0][1])
+            rest = rest[1:]
+        if len(rest) != 1:
+            raise SexprError("expected contract clauses then exactly one body")
+        if _is_contract_clause(rest[0]):
+            raise SexprError("missing function body")
+        body = expr_from_sexpr(rest[0])
+    except (SexprError, LangError) as err:
+        raise CorpusError(f"def {sexpr.write(form[1])}: {err}") from None
     return FunctionDef(
         name, params, rtype, body, contracts.get("requires"), contracts.get("ensures")
     ).validate()

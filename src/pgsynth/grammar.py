@@ -127,6 +127,8 @@ def normalize(raw_rules) -> Pcfg:
     rules = list(raw_rules)
     seen_ids: set[str] = set()
     for r in rules:
+        if not math.isfinite(r.weight):
+            raise GrammarError(f"rule {r.id}: non-finite weight {r.weight}")
         if r.weight <= 0:
             raise GrammarError(f"rule {r.id}: non-positive weight {r.weight}")
         if r.id in seen_ids:
@@ -171,8 +173,12 @@ def normalize(raw_rules) -> Pcfg:
     cost: dict[str, float] = {}
     for nt, group in kept.items():
         total = sum(r.weight for r in group)
+        if not math.isfinite(total):
+            raise GrammarError(f"the weights of {nt} sum to {total}")
         for r in group:
             p = r.weight / total
+            if p == 0:
+                raise GrammarError(f"rule {r.id}: weight {r.weight} underflows against {total}")
             prob[r.id] = p
             cost[r.id] = -math.log(p)
 

@@ -19,6 +19,7 @@ variable of type T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from . import sexpr
@@ -83,17 +84,17 @@ _KEYWORDS = {"label", "production", "variable", "->"}
 _TAKEN = _KEYWORDS | {"Int", "Bool", "List"} | RESERVED_WORDS
 
 
-def _check_ident(word, what: str, lineno: int) -> str:
+def _check_ident(word, what: str) -> str:
     if not isinstance(word, Symbol) or word in _TAKEN or word.startswith("'"):
-        raise GrammarFileError(f"line {lineno}: invalid {what} {sexpr.write(word)}")
+        raise GrammarFileError(f"invalid {what} {sexpr.write(word)}")
     return str(word)
 
 
-def _parse_tag(t, lineno: int) -> str:
+def _parse_tag(t) -> str:
     # tags name axiom roles ("0", "const", "plus", ...); ints are fine
     if isinstance(t, (int, Symbol)):
         return str(t)
-    raise GrammarFileError(f"line {lineno}: invalid tag {sexpr.write(t)}")
+    raise GrammarFileError(f"invalid tag {sexpr.write(t)}")
 
 
 def _bracketed(line: str) -> str:
@@ -102,67 +103,65 @@ def _bracketed(line: str) -> str:
 
 
 def parse_grammar_file(text: str) -> GrammarFile:
-    lines: list[tuple[int, list]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        try:
+    """The grammar file the text spells. Every error is a GrammarFileError
+    that starts with `line N: `, N the line the error was found on."""
+    try:
+        lines: list[tuple[int, list]] = []
+        for lineno, raw in enumerate(text.splitlines(), 1):
             forms = sexpr.parse_all(_bracketed(raw))
-        except SexprError as e:
-            raise GrammarFileError(f"line {lineno}: {e}") from None
-        if forms:
-            lines.append((lineno, forms))
+            if forms:
+                lines.append((lineno, forms))
 
-    # labels first so productions may reference them regardless of order
-    labels: dict[str, LabelDecl] = {}
-    for lineno, forms in lines:
-        if forms[0] != Symbol("label"):
-            continue
-        if len(forms) != 3:
-            raise GrammarFileError(f"line {lineno}: expected `label <name> <type>`")
-        name = _check_ident(forms[1], "label name", lineno)
-        try:
+        # labels first so productions may reference them regardless of order
+        labels: dict[str, LabelDecl] = {}
+        for lineno, forms in lines:
+            if forms[0] != Symbol("label"):
+                continue
+            if len(forms) != 3:
+                raise GrammarFileError("expected `label <name> <type>`")
+            name = _check_ident(forms[1], "label name")
             base = type_from_sexpr(forms[2])
-        except LangError as e:
-            raise GrammarFileError(f"line {lineno}: {e}") from None
-        if not type_is_ground(base):
-            raise GrammarFileError(f"line {lineno}: label {name} has non-ground base type")
-        prev = labels.get(name)
-        if prev is not None and prev.base != base:
-            raise GrammarFileError(f"line {lineno}: label {name} redeclared with different base type")
-        labels.setdefault(name, LabelDecl(name, base))
+            if not type_is_ground(base):
+                raise GrammarFileError(f"label {name} has non-ground base type")
+            prev = labels.get(name)
+            if prev is not None and prev.base != base:
+                raise GrammarFileError(f"label {name} redeclared with different base type")
+            labels.setdefault(name, LabelDecl(name, base))
 
-    prods: list[RawProduction] = []
-    names: set[str] = set()
-    for lineno, forms in lines:
-        if forms[0] == Symbol("label"):
-            continue
-        if forms[0] != Symbol("production"):
-            raise GrammarFileError(
-                f"line {lineno}: expected `label` or `production`, got {sexpr.write(forms[0])}"
-            )
-        p = _parse_production(forms, lineno, labels)
-        if p.name in names:
-            raise GrammarFileError(f"line {lineno}: duplicate production name {p.name}")
-        names.add(p.name)
-        prods.append(p)
+        prods: list[RawProduction] = []
+        names: set[str] = set()
+        for lineno, forms in lines:
+            if forms[0] == Symbol("label"):
+                continue
+            if forms[0] != Symbol("production"):
+                raise GrammarFileError(
+                    f"expected `label` or `production`, got {sexpr.write(forms[0])}"
+                )
+            p = _parse_production(forms, labels)
+            if p.name in names:
+                raise GrammarFileError(f"duplicate production name {p.name}")
+            names.add(p.name)
+            prods.append(p)
+    except (SexprError, LangError, GrammarFileError) as err:
+        raise GrammarFileError(f"line {lineno}: {err}") from None
     return GrammarFile(tuple(labels.values()), tuple(prods))
 
 
-def _parse_weight(form, lineno: int) -> float:
-    if isinstance(form, int):
-        w = float(form)
-    elif isinstance(form, Symbol):
-        try:
-            w = float(form)
-        except ValueError:
-            raise GrammarFileError(f"line {lineno}: expected a weight, got {form}") from None
-    else:
-        raise GrammarFileError(f"line {lineno}: expected a weight")
+def _parse_weight(form) -> float:
+    if not isinstance(form, (int, Symbol)):
+        raise GrammarFileError("expected a weight")
+    try:
+        w = float(str(form))  # an int too large for a float reads as inf
+    except ValueError:
+        raise GrammarFileError(f"expected a weight, got {form}") from None
+    if not math.isfinite(w):
+        raise GrammarFileError(f"non-finite weight {form}")
     if w <= 0:
-        raise GrammarFileError(f"line {lineno}: non-positive weight {form}")
+        raise GrammarFileError(f"non-positive weight {form}")
     return w
 
 
-def _ann_type(form, labels: dict[str, LabelDecl], lineno: int) -> Nonterminal:
+def _ann_type(form, labels: dict[str, LabelDecl]) -> Nonterminal:
     if isinstance(form, Symbol) and str(form) in labels:
         decl = labels[str(form)]
         return Nonterminal(decl.base, decl.name)
@@ -170,7 +169,7 @@ def _ann_type(form, labels: dict[str, LabelDecl], lineno: int) -> Nonterminal:
         return Nonterminal(type_from_sexpr(form))
     except LangError:
         raise GrammarFileError(
-            f"line {lineno}: {sexpr.write(form)} is neither a declared label nor a type"
+            f"{sexpr.write(form)} is neither a declared label nor a type"
         ) from None
 
 
@@ -182,96 +181,88 @@ def _is_type_param_list(form) -> bool:
     )
 
 
-def _parse_production(forms: list, lineno: int, labels: dict[str, LabelDecl]) -> RawProduction:
+def _parse_production(forms: list, labels: dict[str, LabelDecl]) -> RawProduction:
     if len(forms) < 7:
-        raise GrammarFileError(f"line {lineno}: truncated production")
-    weight = _parse_weight(forms[1], lineno)
+        raise GrammarFileError("truncated production")
+    weight = _parse_weight(forms[1])
     if not isinstance(forms[2], list):
-        raise GrammarFileError(f"line {lineno}: expected a [tag,...] list")
-    tags = frozenset(_parse_tag(t, lineno) for t in forms[2])
-    name = _check_ident(forms[3], "production name", lineno)
+        raise GrammarFileError("expected a [tag,...] list")
+    tags = frozenset(_parse_tag(t) for t in forms[2])
+    name = _check_ident(forms[3], "production name")
 
     idx = 4
     type_params: tuple[str, ...] = ()
     if _is_type_param_list(forms[idx]):
         type_params = tuple(str(f)[1:] for f in forms[idx])
         if len(set(type_params)) != len(type_params):
-            raise GrammarFileError(f"line {lineno}: repeated type parameter")
+            raise GrammarFileError("repeated type parameter")
         idx += 1
 
     params: list[tuple[str, Nonterminal]] = []
     while idx < len(forms) and forms[idx] != Symbol("->"):
         f = forms[idx]
         if not isinstance(f, list):
-            raise GrammarFileError(f"line {lineno}: expected (name type) parameter or ->")
+            raise GrammarFileError("expected (name type) parameter or ->")
         if f == [] and not params:
             idx += 1
             if idx < len(forms) and forms[idx] != Symbol("->"):
-                raise GrammarFileError(f"line {lineno}: `()` must be the whole parameter list")
+                raise GrammarFileError("`()` must be the whole parameter list")
             continue
         if len(f) != 2:
-            raise GrammarFileError(f"line {lineno}: parameter must be (name type)")
-        pname = _check_ident(f[0], "parameter name", lineno)
+            raise GrammarFileError("parameter must be (name type)")
+        pname = _check_ident(f[0], "parameter name")
         if any(pname == q for q, _ in params):
-            raise GrammarFileError(f"line {lineno}: duplicate parameter {pname}")
-        params.append((pname, _ann_type(f[1], labels, lineno)))
+            raise GrammarFileError(f"duplicate parameter {pname}")
+        params.append((pname, _ann_type(f[1], labels)))
         idx += 1
     if idx >= len(forms):
-        raise GrammarFileError(f"line {lineno}: missing -> in production")
+        raise GrammarFileError("missing -> in production")
     idx += 1  # skip ->
     if len(forms) - idx != 2:
-        raise GrammarFileError(f"line {lineno}: expected return type and body after ->")
-    rtype = _ann_type(forms[idx], labels, lineno)
+        raise GrammarFileError("expected return type and body after ->")
+    rtype = _ann_type(forms[idx], labels)
     body_form = forms[idx + 1]
 
     variable_of = None
     body: Expr | None = None
     if isinstance(body_form, list) and body_form and body_form[0] == Symbol("variable"):
         if len(body_form) != 2:
-            raise GrammarFileError(f"line {lineno}: variable takes exactly one type")
-        try:
-            variable_of = type_from_sexpr(body_form[1])
-        except LangError as e:
-            raise GrammarFileError(f"line {lineno}: {e}") from None
+            raise GrammarFileError("variable takes exactly one type")
+        variable_of = type_from_sexpr(body_form[1])
         if params:
-            raise GrammarFileError(f"line {lineno}: a variable production takes no parameters")
+            raise GrammarFileError("a variable production takes no parameters")
         if type_params or not type_is_ground(variable_of):
-            raise GrammarFileError(f"line {lineno}: a variable production cannot be generic")
+            raise GrammarFileError("a variable production cannot be generic")
     else:
-        try:
-            body = expr_from_sexpr(body_form)
-        except (SexprError, LangError) as e:
-            raise GrammarFileError(f"line {lineno}: {e}") from None
-        _check_body(body, params, type_params, lineno)
-    _check_ann_vars((rtype, *(nt for _, nt in params)), type_params, lineno)
+        body = expr_from_sexpr(body_form)
+        _check_body(body, params, type_params)
+    _check_ann_vars((rtype, *(nt for _, nt in params)), type_params)
     return RawProduction(
         name, weight, tags, type_params, tuple(params), rtype, body, variable_of
     )
 
 
-def _check_body(body: Expr, params, type_params, lineno: int) -> None:
+def _check_body(body: Expr, params, type_params) -> None:
     counts = {pname: 0 for pname, _ in params}
     for _, e in iter_subexprs(body):
         if isinstance(e, Var):
             if e.name not in counts:
-                raise GrammarFileError(f"line {lineno}: unknown variable {e.name} in body")
+                raise GrammarFileError(f"unknown variable {e.name} in body")
             counts[e.name] += 1
         elif isinstance(e, Nil):
             if not type_vars(e.elem) <= set(type_params):
-                raise GrammarFileError(f"line {lineno}: undeclared type parameter in body")
+                raise GrammarFileError("undeclared type parameter in body")
         elif isinstance(e, Hole):
-            raise GrammarFileError(f"line {lineno}: holes are not allowed in production bodies")
+            raise GrammarFileError("holes are not allowed in production bodies")
     for pname, n in counts.items():
         if n != 1:
-            raise GrammarFileError(
-                f"line {lineno}: parameter {pname} must appear exactly once, found {n}"
-            )
+            raise GrammarFileError(f"parameter {pname} must appear exactly once, found {n}")
 
 
-def _check_ann_vars(nts, type_params, lineno: int) -> None:
+def _check_ann_vars(nts, type_params) -> None:
     for nt in nts:
         if not type_vars(nt.base) <= set(type_params):
-            raise GrammarFileError(f"line {lineno}: undeclared type parameter in signature")
+            raise GrammarFileError("undeclared type parameter in signature")
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,12 @@ errs, possibly for another reason: a completion of a hole to the left of the
 error may err first. Otherwise the result is UNKNOWN. An error that
 evaluation reaches is always the result, so no completion of a definite
 false is true, which is what pruning relies on.
+
+The readers that turn S-expression forms into types, expressions and
+values live here too, and the file formats share them: `type_from_sexpr`,
+`expr_from_sexpr`, `identifier`, `typed_name` for `(name Type)`, `binding`
+for `(name value)` and `literal_value`. They raise SexprError or LangError;
+each file format's entry point converts those to its own error, once.
 """
 
 from __future__ import annotations
@@ -488,12 +494,12 @@ def hole_print(nt: Nonterminal) -> str:
 RESERVED_WORDS = frozenset({"true", "false", "?", *OPERATOR_BY_TAG})
 
 
-def identifier(form, error: type[Exception] = sexpr.SexprError, what: str = "variable") -> str:
+def identifier(form, what: str = "variable") -> str:
     """The name form spells if it is a symbol a variable may take; otherwise
-    the caller's own error, naming what was wanted."""
+    SexprError, naming what was wanted."""
     if isinstance(form, Symbol) and form not in RESERVED_WORDS and not form.startswith("'"):
         return str(form)
-    raise error(f"invalid {what} {sexpr.write(form)}")
+    raise sexpr.SexprError(f"invalid {what} {sexpr.write(form)}")
 
 
 def expr_from_sexpr(form) -> Expr:
@@ -532,6 +538,50 @@ def _arity(form: list, n: int) -> None:
 
 def parse_expr(text: str) -> Expr:
     return expr_from_sexpr(sexpr.parse_one(text))
+
+
+def typed_name(form, what: str) -> tuple[str, Type]:
+    """The name and type of a `(name Type)` form; what names the form in
+    errors, e.g. "input" or "parameter"."""
+    if not (isinstance(form, list) and len(form) == 2):
+        raise sexpr.SexprError(f"{what} must be (name Type), got {sexpr.write(form)}")
+    return identifier(form[0], f"{what} name"), type_from_sexpr(form[1])
+
+
+def binding(form, what: str) -> tuple[str, Value]:
+    """The name and value of a `(name value)` form, the value a literal (see
+    literal_value); what names the form in errors, e.g. "example"."""
+    if not (isinstance(form, list) and len(form) == 2):
+        raise sexpr.SexprError(f"{what} binding must be (name value), got {sexpr.write(form)}")
+    return identifier(form[0], f"{what} binding name"), literal_value(form[1])
+
+
+def literal_value(form) -> Value:
+    """The value of a literal: an int or bool atom, (nil T), or cons of
+    literals, the forms value_to_expr writes. Any other expression is
+    rejected even when it evaluates to a value, e.g. (+ 1 2) or
+    (head (nil Int))."""
+    e = expr_from_sexpr(form)
+    if not is_complete(e):
+        raise LangError(f"value {sexpr.write(form)} contains a hole")
+    try:
+        type_of(e, {})
+    except LangError as err:
+        raise LangError(f"bad literal value {sexpr.write(form)}: {err}") from None
+    if not _is_literal(e):
+        raise LangError(
+            f"value {sexpr.write(form)} is not a literal "
+            "(an int or bool atom, (nil T), or cons of literals)"
+        )
+    return evaluate(e, {})
+
+
+def _is_literal(e: Expr) -> bool:
+    while isinstance(e, Cons):
+        if not _is_literal(e.head):
+            return False
+        e = e.tail
+    return isinstance(e, (IntLit, BoolLit, Nil))
 
 
 # ---------------------------------------------------------------------------

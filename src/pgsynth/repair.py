@@ -37,12 +37,9 @@ from .cegis import (
     conjoin,
     domain_size,
     value_fits,
-    _clauses,
-    _literal_value,
 )
 from .corpus import (
     RESULT_NAME,
-    CorpusError,
     CorpusProgram,
     FunctionDef,
     extract_local_bias,
@@ -68,6 +65,7 @@ from .lang import (
     Not,
     Value,
     Var,
+    binding,
     children,
     compile_expr,
     compile_trace,
@@ -123,52 +121,35 @@ def parse_task(text: str, program_dir=".") -> RepairTask:
     The program path is resolved relative to program_dir. Test values are
     literals: int or bool atoms, (nil T), or cons of literals."""
     try:
-        form = sexpr.parse_one(text)
-    except SexprError as err:
-        raise RepairError(str(err)) from None
-    clauses = _clauses(form, "repair", RepairError)
-    unknown = set(clauses) - {"program", "function", "tests"}
-    if unknown:
-        raise RepairError(f"unknown clause(s): {', '.join(sorted(unknown))}")
-    for required in ("program", "function"):
-        if required not in clauses:
-            raise RepairError(f"missing ({required} ...) clause")
-    prog_clause = clauses["program"]
-    if (
-        len(prog_clause) != 1
-        or not isinstance(prog_clause[0], str)
-        or isinstance(prog_clause[0], Symbol)
-    ):
-        raise RepairError('program clause must be (program "path")')
-    if len(clauses["function"]) != 1 or not isinstance(clauses["function"][0], Symbol):
-        raise RepairError("function clause must be (function name)")
-    path = Path(program_dir) / prog_clause[0]
-    try:
+        clauses = sexpr.clauses(
+            sexpr.parse_one(text), "repair", ("program", "function"), ("tests",)
+        )
+        prog_clause = clauses["program"]
+        if len(prog_clause) != 1 or not sexpr.is_string(prog_clause[0]):
+            raise SexprError('program clause must be (program "path")')
+        if len(clauses["function"]) != 1 or not isinstance(clauses["function"][0], Symbol):
+            raise SexprError("function clause must be (function name)")
+        path = Path(program_dir) / prog_clause[0]
         program = load_program(path)
-    except CorpusError as err:
+        function = str(clauses["function"][0])
+        fn = program.find(function)
+        if fn is None:
+            raise RepairError(f"function {function} not found in {path}")
+        tests = tuple(_parse_test(t, fn) for t in clauses.get("tests", []))
+    except (SexprError, LangError) as err:
         raise RepairError(str(err)) from None
-    function = str(clauses["function"][0])
-    fn = program.find(function)
-    if fn is None:
-        raise RepairError(f"function {function} not found in {path}")
-    tests = tuple(_parse_test(t, fn) for t in clauses.get("tests", []))
     return RepairTask(program, function, tests)
 
 
 def _parse_test(form, fn: FunctionDef) -> tuple[tuple[str, Value], ...]:
     if not isinstance(form, list):
-        raise RepairError(f"test must be ((name value) ...), got {sexpr.write(form)}")
+        raise SexprError(f"test must be ((name value) ...), got {sexpr.write(form)}")
     bindings: dict[str, Value] = {}
     for b in form:
-        if not (isinstance(b, list) and len(b) == 2 and isinstance(b[0], Symbol)):
-            raise RepairError(f"test binding must be (name value), got {sexpr.write(b)}")
-        name = str(b[0])
+        name, value = binding(b, "test")
         if name in bindings:
             raise RepairError(f"test binds {name} twice")
-        try:
-            bindings[name] = _literal_value(b[1])
-        except LangError as err:
-            raise RepairError(str(err)) from None
+        bindings[name] = value
     scope = fn.scope
     if set(bindings) != set(scope):
         raise RepairError(
@@ -224,7 +205,7 @@ def generate_tests(
     postcondition. User tests come first and must satisfy the precondition."""
     if fn.ensures is None:
         raise RepairError(f"def {fn.name} has no (ensures ...) contract")
-    check_bounds(RepairError, int_bound=int_bound, list_bound=list_bound)
+    check_bounds(RepairError, int_bound=int_bound, list_bound=list_bound, max_points=max_points)
     pre = None if fn.requires is None else compile_expr(fn.requires)
     total = math.prod(domain_size(t, int_bound, list_bound) for _, t in fn.params)
     if total > max_points:
@@ -387,7 +368,11 @@ def repair(
     local-bias extraction of the program under repair. The result's
     wall_time covers the whole call."""
     t0 = time.monotonic()
-    check_bounds(RepairError, max_locations=max_locations)
+    # generate_tests checks the bounds and max_points; the search budgets are
+    # checked here, so that cegis's ProblemError does not escape repair
+    check_bounds(
+        RepairError, max_locations=max_locations, max_dequeues=max_dequeues, timeout_s=timeout_s
+    )
     fn = task.program.find(task.function)
     if fn is None:
         raise RepairError(f"function {task.function} not found")

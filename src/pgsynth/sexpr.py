@@ -3,6 +3,11 @@
 Atoms are ints, double-quoted strings, or symbols (anything else, including
 `->`, `=>`, and type variables like 'A). `#` starts a comment that runs to
 end of line.
+
+The module also holds the readers that depend only on a form's structure:
+`clauses` reads a `(head (name ...) ...)` form, and `is_string` tells a
+quoted string from a symbol. Like the reader, they raise SexprError; each
+file format's entry point converts it to its own error, once.
 """
 
 from __future__ import annotations
@@ -93,6 +98,34 @@ def parse_one(text: str):
     if len(forms) != 1:
         raise SexprError(f"expected exactly one form, found {len(forms)}")
     return forms[0]
+
+
+def is_string(form) -> bool:
+    """Whether form is a double-quoted string, not a symbol."""
+    return isinstance(form, str) and not isinstance(form, Symbol)
+
+
+def clauses(form, head: str, required, optional) -> dict[str, list]:
+    """The clauses of a `(head (name ...) ...)` form, each name mapped to
+    its arguments. Every name in required must appear, and no name outside
+    required and optional may."""
+    if not (isinstance(form, list) and form and form[0] == Symbol(head)):
+        raise SexprError(f"expected a ({head} ...) form")
+    out: dict[str, list] = {}
+    for clause in form[1:]:
+        if not (isinstance(clause, list) and clause and isinstance(clause[0], Symbol)):
+            raise SexprError(f"bad clause {write(clause)}")
+        name = str(clause[0])
+        if name in out:
+            raise SexprError(f"duplicate clause ({name} ...)")
+        out[name] = clause[1:]
+    unknown = set(out).difference(required, optional)
+    if unknown:
+        raise SexprError(f"unknown clause(s): {', '.join(sorted(unknown))}")
+    for name in required:
+        if name not in out:
+            raise SexprError(f"missing ({name} ...) clause")
+    return out
 
 
 def write(form) -> str:

@@ -17,10 +17,11 @@ from pgsynth.corpus import (
     extract_local_bias,
     load_corpus,
     load_program,
+    parse_def,
     parse_program,
 )
 from pgsynth.enumerate import Enumerator
-from pgsynth.sexpr import MAX_DEPTH
+from pgsynth.sexpr import MAX_DEPTH, parse_one
 from pgsynth.grammar import normalize
 from pgsynth.grammarfile import (
     desugar,
@@ -158,6 +159,26 @@ def test_parse_program_errors(text, fragment):
     with pytest.raises(CorpusError) as err:
         parse_program(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("(def if ((a Int)) -> Int a)", "if"),
+        ("(def f (a Int) -> Int a)", "f"),
+        ("(def f ((a Foo)) -> Int a)", "f"),
+        ("(def f ((a Int)) -> (List) a)", "f"),
+        ("(def f ((a Int)) -> Int (requires (foo a)) a)", "f"),
+        ("(def f ((a Int)) -> Int (+ a))", "f"),
+        ("(def f ((a Int)) -> Int b)", "f"),
+    ],
+)
+def test_parse_def_raises_only_corpus_error_naming_the_def_once(text, name):
+    with pytest.raises(CorpusError) as err:
+        parse_def(parse_one(text))
+    message = str(err.value)
+    assert message.startswith(f"def {name}: ")
+    assert message.count("def ") == 1
 
 
 def test_load_corpus_directory_sorted(tmp_path):

@@ -61,6 +61,23 @@ def test_normalize_rejects_bad_weights_and_duplicates():
         normalize([R("a", INT_NT, IntLit(1), 1), R("a", INT_NT, IntLit(2), 1)])
 
 
+@pytest.mark.parametrize(
+    "weights, match",
+    [
+        ((math.nan,), "non-finite weight"),
+        ((1.0, math.inf), "non-finite weight"),
+        ((1e308, 1e308), "sum to inf"),
+        ((5e-324, 1e10), "underflows"),
+    ],
+)
+def test_normalize_rejects_weights_without_a_probability(weights, match):
+    # each would leave a NaN or zero probability, whose cost -log p is NaN
+    # or a math domain error
+    rules = [R(f"r{i}", INT_NT, IntLit(i), w) for i, w in enumerate(weights)]
+    with pytest.raises(GrammarError, match=match):
+        normalize(rules)
+
+
 def test_normalize_prunes_unproductive(caplog):
     # loop can never terminate, and sz references it, so both must go
     loop = Nonterminal(INT, "loop")

@@ -152,36 +152,48 @@ def test_fractional_weights_round_trip():
     assert parse_grammar_file(emit_grammar_file(gf)) == gf
 
 
-@pytest.mark.parametrize(
-    "line, match",
-    [
-        ("production -1 [] p () -> Int 0", "non-positive weight"),
-        ("production 0 [] p () -> Int 0", "non-positive weight"),
-        ("production x [] p () -> Int 0", "weight"),
-        ("production 1 [] p (a NZ) -> Int a", "neither a declared label nor a type"),
-        ("production 1 [] p (a Int) -> Int 0", "exactly once"),
-        ("production 1 [] p (a Int) -> Int (+ a a)", "exactly once"),
-        ("production 1 [] p (a Int) -> Int (+ a b)", "unknown variable b"),
-        ("production 1 [] p (a Int) Int (+ a 1)", "parameter or ->"),
-        ("production 1 [] p () -> Int (+ 1)", "expects 2 arguments"),
-        ("production 1 [] p", "truncated"),
-        ("production 1 [] p () -> Int", "return type and body"),
-        ("production 1 [] p () -> Int 0 extra", "return type and body"),
-        ("production 1 [] v (a Int) -> Int (variable Int)", "no parameters"),
-        ("production 1 [] v ['A] () -> 'A (variable 'A)", "cannot be generic"),
-        ("production 1 [] p () -> Int (nil 'B)", "undeclared type parameter"),
-        ("production 1 [] p (a 'B) -> Int (size a)", "undeclared type parameter"),
-        ("label L (List 'A)", "non-ground"),
-        ("label if Int", "invalid label name"),
-        ("bogus 1 2", "expected `label` or `production`"),
-        ("production 1 [] p ((a b) Int) -> Int 0", "invalid parameter name"),
-        ("production 1 [] p () -> Int (? Int)", "holes are not allowed"),
-        (f"production 1 [] p (a Int) -> Int {nested_sum(MAX_DEPTH + 1)}", "nest deeper"),
-    ],
-)
+PARSE_ERRORS = [
+    ("production -1 [] p () -> Int 0", "non-positive weight"),
+    ("production 0 [] p () -> Int 0", "non-positive weight"),
+    ("production x [] p () -> Int 0", "weight"),
+    ("production 1 [] p (a NZ) -> Int a", "neither a declared label nor a type"),
+    ("production 1 [] p (a Int) -> Int 0", "exactly once"),
+    ("production 1 [] p (a Int) -> Int (+ a a)", "exactly once"),
+    ("production 1 [] p (a Int) -> Int (+ a b)", "unknown variable b"),
+    ("production 1 [] p (a Int) Int (+ a 1)", "parameter or ->"),
+    ("production 1 [] p () -> Int (+ 1)", "expects 2 arguments"),
+    ("production 1 [] p", "truncated"),
+    ("production 1 [] p () -> Int", "return type and body"),
+    ("production 1 [] p () -> Int 0 extra", "return type and body"),
+    ("production 1 [] v (a Int) -> Int (variable Int)", "no parameters"),
+    ("production 1 [] v ['A] () -> 'A (variable 'A)", "cannot be generic"),
+    ("production 1 [] p () -> Int (nil 'B)", "undeclared type parameter"),
+    ("production 1 [] p (a 'B) -> Int (size a)", "undeclared type parameter"),
+    ("label L (List 'A)", "non-ground"),
+    ("label if Int", "invalid label name"),
+    ("bogus 1 2", "expected `label` or `production`"),
+    ("production 1 [] p ((a b) Int) -> Int 0", "invalid parameter name"),
+    ("production 1 [] p () -> Int (? Int)", "holes are not allowed"),
+    (f"production 1 [] p (a Int) -> Int {nested_sum(MAX_DEPTH + 1)}", "nest deeper"),
+    ("production nan [] zero () -> Int 0", "non-finite weight"),
+    ("production inf [] zero () -> Int 0", "non-finite weight"),
+    ("production " + "9" * 400 + " [] zero () -> Int 0", "non-finite weight"),
+]
+
+
+@pytest.mark.parametrize("line, match", PARSE_ERRORS)
 def test_parse_errors(line, match):
     with pytest.raises(GrammarFileError, match=match):
         parse_grammar_file(line + "\n")
+
+
+@pytest.mark.parametrize("line, match", PARSE_ERRORS)
+def test_parse_error_names_its_line_once(line, match):
+    with pytest.raises(GrammarFileError, match=match) as err:
+        parse_grammar_file("production 1 [] ok () -> Int 0\n" + line + "\n")
+    message = str(err.value)
+    assert message.startswith("line 2: ")
+    assert "line " not in message[len("line 2: "):]
 
 
 def test_parse_at_nesting_limit():

@@ -4,6 +4,7 @@ grammar, per-location synthesis problems, and the end-to-end loop.
 Failing-test classification is gated by the independent evaluator in
 oracle.py; repaired programs are re-verified point by point."""
 
+import math
 import time
 
 import pytest
@@ -327,6 +328,15 @@ def _bounds_repair(**bound):
         (_bounds_repair, RepairError, "int_bound"),
         (_bounds_repair, RepairError, "list_bound"),
         (_bounds_repair, RepairError, "max_locations"),
+        (_bounds_cegis, ProblemError, "max_dequeues"),
+        (_bounds_cegis, ProblemError, "timeout_s"),
+        (_bounds_cegis, ProblemError, "max_points"),
+        (_bounds_cegis, ProblemError, "max_iterations"),
+        (_bounds_verify, ProblemError, "max_points"),
+        (_bounds_generate_tests, RepairError, "max_points"),
+        (_bounds_repair, RepairError, "max_dequeues"),
+        (_bounds_repair, RepairError, "max_points"),
+        (_bounds_repair, RepairError, "timeout_s"),
     ],
 )
 def test_negative_bound_is_rejected(entry, error, bound):
@@ -334,6 +344,13 @@ def test_negative_bound_is_rejected(entry, error, bound):
     # max_locations, slice off the last location
     with pytest.raises(error, match=f"{bound} must be at least 0, got -1"):
         entry(**{bound: -1})
+
+
+@pytest.mark.parametrize("entry, error", [(_bounds_cegis, ProblemError), (_bounds_repair, RepairError)])
+def test_nan_timeout_is_rejected(entry, error):
+    # every comparison with NaN is false, so the search would never time out
+    with pytest.raises(error, match="timeout_s must be at least 0, got nan"):
+        entry(timeout_s=math.nan)
 
 
 # ---------------------------------------------------------------------------

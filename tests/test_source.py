@@ -44,6 +44,48 @@ def test_unused_import_check_sees_an_unused_name():
     assert unused_imports(tree) == ["os"]
 
 
+def private_imports(tree: ast.Module) -> list[str]:
+    """The private names a package module takes from another: `_name` in a
+    relative `from` import, or `mod._name` on a module imported from the
+    package with `from . import mod`."""
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+        for alias in node.names
+    }
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    names += [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+    ]
+    return sorted(names)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_private_import_check_sees_a_private_name():
+    tree = ast.parse(
+        "from . import sexpr\nfrom .cegis import _clauses, conjoin\n"
+        "from .lang import _Unknown as U\nsexpr._atom(1)\nsexpr.__name__\n"
+    )
+    assert private_imports(tree) == ["_Unknown", "_clauses", "sexpr._atom"]
+
+
 # spans.install over the modules perfbench/run.py traces
 INSTALL_SPANS = """
 import importlib, sys
