@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import sexpr
-from .sexpr import SexprError, Symbol
+from .sexpr import SexprError
 from .enumerate import (
     Enumerator,
     EnumStats,
@@ -211,12 +211,12 @@ class SynthesisProblem:
 
 
 def _example(form) -> IoExample:
-    if not isinstance(form, list) or Symbol("=>") not in form:
+    seps = [i for i, f in enumerate(form) if sexpr.is_symbol(f, "=>")] if isinstance(form, list) else []
+    if not seps:
         raise SexprError(f"example must be ((name value) ... => expected), got {sexpr.write(form)}")
-    sep = form.index(Symbol("=>"))
-    if sep != len(form) - 2:
+    if seps[0] != len(form) - 2:
         raise SexprError("example needs exactly one expected value after =>")
-    return IoExample(tuple(binding(b, "example") for b in form[:sep]), literal_value(form[-1]))
+    return IoExample(tuple(binding(b, "example") for b in form[: seps[0]]), literal_value(form[-1]))
 
 
 def parse_problem(text: str) -> SynthesisProblem:
@@ -545,25 +545,15 @@ def verify(
 
 
 @dataclass
-class RunStats:
+class RunStats(EnumStats):
     iterations: int = 0
     points: int = 0
-    dequeued: int = 0
-    emitted: int = 0
-    expanded: int = 0
-    pushed: int = 0
-    pruned: int = 0
-    dup_dropped: int = 0
-    rewritten: int = 0
     verify_points: int = 0
     wall_time: float = 0.0
 
     def add_enum(self, st: EnumStats) -> None:
         for key, val in st.as_dict().items():
             setattr(self, key, getattr(self, key) + val)
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
 
 
 @dataclass

@@ -144,7 +144,7 @@ def parse_def(form) -> FunctionDef:
     """Parse one `(def name ((p T) ...) -> T clauses... body)` form, where
     clauses are at most one (requires e) and one (ensures e). A malformed
     form raises CorpusError, which names the def."""
-    if not (isinstance(form, list) and form and form[0] == Symbol("def")):
+    if not (isinstance(form, list) and form and sexpr.is_symbol(form[0], "def")):
         raise CorpusError(f"expected a (def ...) form, got {sexpr.write(form)}")
     if len(form) < 6:
         raise CorpusError("truncated def: expected (def name ((p T) ...) -> T body)")
@@ -153,7 +153,7 @@ def parse_def(form) -> FunctionDef:
         if not isinstance(form[2], list):
             raise SexprError("expected a ((p T) ...) parameter list")
         params = tuple(typed_name(p, "parameter") for p in form[2])
-        if form[3] != Symbol("->"):
+        if not sexpr.is_symbol(form[3], "->"):
             raise SexprError("expected -> after the parameter list")
         rtype = type_from_sexpr(form[4])
         contracts: dict[str, Expr] = {}

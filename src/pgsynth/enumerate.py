@@ -15,12 +15,11 @@ key.
 Expansion pays for the spine, not the tree. A child differs from its parent
 only on the path from the filled hole to the root; the parent was rewritten
 when it was dequeued, so off that path every maximal complete subexpression
-is already a representative, and the rewriter descends that path alone. A
-child's hole paths are filled from its parent's on first read, which only
-the children that are themselves expanded ever do. Expansion splices a
-child's derivation key from its parent's as text, finding the leftmost hole
-as the key's first "(?": keys print holes in preorder, and nothing else
-prints that pair.
+is already a representative, and the rewriter descends that path alone.
+Expansion reads the leftmost hole off the tree, descending from the root
+through the first incomplete child at each node, and splices a child's
+derivation key from its parent's as text, finding that hole as the key's
+first "(?": keys print holes in preorder, and nothing else prints that pair.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .lang import (
     compile_expr,
     hole_paths,
     hole_print,
+    is_complete,
     rebuild,
     to_sexpr,
 )
@@ -56,13 +56,11 @@ class PartialProduction:
     leftmost-first order, and score the count of input points the expression
     already definitely satisfies. derivation_key is the canonical print of
     the expression (holes shown with their nonterminals); hole_paths gives
-    each hole's path in the tree.
-
-    hole_paths is filled on first read: from the tree, or for an expansion
-    child from its parent's paths, so a child that is never expanded never
-    builds it. `spine` is set by expansion: the path the rewriter descends
-    (see IndistRewriter) and whether the node at its end is complete; None
-    means no path is recorded and the rewriter walks the whole tree."""
+    each hole's path in the tree, read off the tree on each call (the search
+    never reads it). `spine` is set by expansion: the path the rewriter
+    descends (see IndistRewriter) and whether the node at its end is
+    complete; None means no path is recorded and the rewriter walks the
+    whole tree."""
 
     __slots__ = (
         "expr",
@@ -73,9 +71,6 @@ class PartialProduction:
         "score",
         "derivation_key",
         "spine",
-        "_paths",
-        "_ctx",
-        "_rel",
     )
 
     def __init__(
@@ -94,13 +89,11 @@ class PartialProduction:
         self.hole_h = hole_h
         self.score = score
         self.derivation_key = to_sexpr(expr)
-        self.spine = self._paths = self._ctx = self._rel = None
+        self.spine = None
 
     @classmethod
-    def _expanded(cls, expr, cost, hole_nts, hole_h, key, spine, ctx, rel):
-        """A child of expansion; ctx holds the filled hole's path and the
-        parent's other hole paths, rel the filled rule's hole paths inside
-        its template, from which hole_paths is filled on first read."""
+    def _expanded(cls, expr, cost, hole_nts, hole_h, key, spine):
+        """A child of expansion, whose key expansion has already spliced."""
         pp = cls.__new__(cls)
         pp.expr = expr
         pp.cost = cost
@@ -110,21 +103,11 @@ class PartialProduction:
         pp.score = 0
         pp.derivation_key = key
         pp.spine = spine
-        pp._paths = None
-        pp._ctx = ctx
-        pp._rel = rel
         return pp
 
     @property
     def hole_paths(self) -> tuple[tuple[int, ...], ...]:
-        if self._paths is None:
-            if self._ctx is None:
-                self._paths = hole_paths(self.expr)
-            else:
-                at_path, rest_paths = self._ctx
-                self._paths = tuple(at_path + rel for rel in self._rel) + rest_paths
-                self._ctx = self._rel = None
-        return self._paths
+        return hole_paths(self.expr)
 
     @property
     def complete(self) -> bool:
@@ -185,46 +168,47 @@ def root_pp(g: Pcfg, start: Nonterminal) -> PartialProduction:
 
 def expand(pp: PartialProduction, g: Pcfg) -> list[PartialProduction]:
     """One child per rule of the leftmost hole's nonterminal, in rule order.
-    Each child records as its spine the path of the hole it filled, or, when
-    the rule's template is complete, that path down to the first complete
-    node: just below where it parts from the next hole's path (holes are in
-    preorder), or the root when no hole is left."""
+    The hole is found by descending from the root through the first
+    incomplete child at each node. Each child records as its spine the path
+    of the hole it filled, or, when the rule's template is complete, that
+    path down to the first complete node: just below the deepest node with
+    an incomplete child right of the path (where the next hole's path parts
+    from it), or the root when no hole is left."""
     if pp.complete:
         raise ValueError("cannot expand a complete production")
     rule_exp = g.rule_expansions()
     nt = pp.hole_nts[0]
     rest_nts = pp.hole_nts[1:]
     rest_h = pp.hole_h[1:]
-    paths = pp.hole_paths
-    at_path = paths[0]
-    rest_paths = paths[1:]
-    ctx = (at_path, rest_paths)
     # the key prints holes in preorder, and only a hole prints "(?": every
     # other list opens with an operator tag, and no tag starts with "?"
     key = pp.derivation_key
     at = key.index("(?")
     head = key[:at]
     tail = key[at + len(hole_print(nt)) :]
-    spine_kept = (at_path, False)
-    if rest_paths:
-        # neither path is a prefix of the other: both end at holes
-        nxt = rest_paths[0]
-        d = 0
-        while at_path[d] == nxt[d]:
-            d += 1
-        spine_done = (at_path[: d + 1], True)
-    else:
-        spine_done = ((), True)
-    # descend to the hole once; each rule then rebuilds along the path
+    # descend to the hole once; each rule then rebuilds along the path. pp
+    # is not complete, so every node on the way has an incomplete child
     lineage = []
     node = pp.expr
-    for i in at_path:
+    while node.__class__ is not Hole:
         kids = children(node)
+        i = 0
+        while is_complete(kids[i]):
+            i += 1
         lineage.append((node, i, kids))
         node = kids[i]
+    at_path = tuple(i for _, i, _ in lineage)
+    split = 0
+    if len(pp.hole_nts) > 1:
+        for split in range(len(lineage), 0, -1):
+            _, i, kids = lineage[split - 1]
+            if not all(map(is_complete, kids[i + 1 :])):
+                break
+    spine_kept = (at_path, False)
+    spine_done = (at_path[:split], True)
     out = []
     for r in g.rules_for(nt):
-        child_h, text, rel = rule_exp[r.id]
+        child_h, text = rule_exp[r.id]
         new = r.template
         for parent, i, kids in reversed(lineage):
             # every spine node's constructor takes exactly its children
@@ -237,8 +221,6 @@ def expand(pp: PartialProduction, g: Pcfg) -> list[PartialProduction]:
                 child_h + rest_h,
                 head + text + tail,
                 spine_kept if r.child_nts else spine_done,
-                ctx,
-                rel,
             )
         )
     return out
@@ -364,7 +346,7 @@ class IndistRewriter:
             new = self._spine(pp.expr, *pp.spine, represent)
             if new is None:
                 return pp
-        # key and paths are stale for the rewritten tree; recompute
+        # the key is stale for the rewritten tree; reprint it
         out = PartialProduction(new, pp.cost, pp.horizon_sum, pp.hole_nts, pp.hole_h, pp.score)
         out.spine = pp.spine
         return out

@@ -25,7 +25,6 @@ from .lang import (
     Type,
     Var,
     children,
-    hole_paths,
     holes,
     match_type,
     rebuild,
@@ -102,14 +101,13 @@ class Pcfg:
 
     def rule_expansions(self) -> dict[str, tuple]:
         """Per rule, what expansion splices in for it: the horizon of each
-        child nonterminal, the template's printed form, and the path of each
-        hole inside the template, both in hole order. Lets expansion splice
-        derivation keys as strings instead of reprinting whole trees."""
+        child nonterminal, in hole order, and the template's printed form.
+        Lets expansion splice derivation keys as strings instead of
+        reprinting whole trees."""
         if self._rule_exp is None:
             h = self.horizon()
             self._rule_exp = {
-                r.id: (tuple(h[c] for c in r.child_nts), to_sexpr(r.template), hole_paths(r.template))
-                for r in self.all_rules()
+                r.id: (tuple(h[c] for c in r.child_nts), to_sexpr(r.template)) for r in self.all_rules()
             }
         return self._rule_exp
 

@@ -115,7 +115,7 @@ def parse_grammar_file(text: str) -> GrammarFile:
         # labels first so productions may reference them regardless of order
         labels: dict[str, LabelDecl] = {}
         for lineno, forms in lines:
-            if forms[0] != Symbol("label"):
+            if not sexpr.is_symbol(forms[0], "label"):
                 continue
             if len(forms) != 3:
                 raise GrammarFileError("expected `label <name> <type>`")
@@ -131,9 +131,9 @@ def parse_grammar_file(text: str) -> GrammarFile:
         prods: list[RawProduction] = []
         names: set[str] = set()
         for lineno, forms in lines:
-            if forms[0] == Symbol("label"):
+            if sexpr.is_symbol(forms[0], "label"):
                 continue
-            if forms[0] != Symbol("production"):
+            if not sexpr.is_symbol(forms[0], "production"):
                 raise GrammarFileError(
                     f"expected `label` or `production`, got {sexpr.write(forms[0])}"
                 )
@@ -199,13 +199,13 @@ def _parse_production(forms: list, labels: dict[str, LabelDecl]) -> RawProductio
         idx += 1
 
     params: list[tuple[str, Nonterminal]] = []
-    while idx < len(forms) and forms[idx] != Symbol("->"):
+    while idx < len(forms) and not sexpr.is_symbol(forms[idx], "->"):
         f = forms[idx]
         if not isinstance(f, list):
             raise GrammarFileError("expected (name type) parameter or ->")
         if f == [] and not params:
             idx += 1
-            if idx < len(forms) and forms[idx] != Symbol("->"):
+            if idx < len(forms) and not sexpr.is_symbol(forms[idx], "->"):
                 raise GrammarFileError("`()` must be the whole parameter list")
             continue
         if len(f) != 2:
@@ -225,7 +225,7 @@ def _parse_production(forms: list, labels: dict[str, LabelDecl]) -> RawProductio
 
     variable_of = None
     body: Expr | None = None
-    if isinstance(body_form, list) and body_form and body_form[0] == Symbol("variable"):
+    if isinstance(body_form, list) and body_form and sexpr.is_symbol(body_form[0], "variable"):
         if len(body_form) != 2:
             raise GrammarFileError("variable takes exactly one type")
         variable_of = type_from_sexpr(body_form[1])

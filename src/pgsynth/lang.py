@@ -117,7 +117,7 @@ def type_from_sexpr(form) -> Type:
         if form.startswith("'") and len(form) > 1:
             return TypeVar(form[1:])
         raise TypeCheckError(f"unknown type {form}")
-    if isinstance(form, list) and len(form) == 2 and form[0] == Symbol("List"):
+    if isinstance(form, list) and len(form) == 2 and sexpr.is_symbol(form[0], "List"):
         return ListType(type_from_sexpr(form[1]))
     raise TypeCheckError(f"malformed type {sexpr.write(form)}")
 

@@ -1,13 +1,14 @@
 """S-expression reader/writer shared by every textual format in the package.
 
-Atoms are ints, double-quoted strings, or symbols (anything else, including
-`->`, `=>`, and type variables like 'A). `#` starts a comment that runs to
-end of line.
+Atoms are ints (ASCII digits with an optional leading `-`), double-quoted
+strings, or symbols (anything else, including `->`, `=>`, and type variables
+like 'A). `#` starts a comment that runs to end of line.
 
 The module also holds the readers that depend only on a form's structure:
-`clauses` reads a `(head (name ...) ...)` form, and `is_string` tells a
-quoted string from a symbol. Like the reader, they raise SexprError; each
-file format's entry point converts it to its own error, once.
+`clauses` reads a `(head (name ...) ...)` form, `is_string` tells a quoted
+string from a symbol, and `is_symbol` tells a keyword from a quoted string
+that spells it. Like the reader, they raise SexprError; each file format's
+entry point converts it to its own error, once.
 """
 
 from __future__ import annotations
@@ -65,10 +66,13 @@ def tokenize(text: str) -> list[str | int | Symbol]:
 
 
 def _atom(word: str) -> int | Symbol:
+    digits = word[1:] if word.startswith("-") else word
+    if not (digits.isascii() and digits.isdigit()):
+        return Symbol(word)
     try:
         return int(word)
-    except ValueError:
-        return Symbol(word)
+    except ValueError:  # longer than Python's int-to-string limit
+        raise SexprError(f"integer literal of {len(word)} characters is too long") from None
 
 
 def parse_all(text: str) -> list:
@@ -105,11 +109,16 @@ def is_string(form) -> bool:
     return isinstance(form, str) and not isinstance(form, Symbol)
 
 
+def is_symbol(form, name: str) -> bool:
+    """Whether form is the bare symbol name, not a quoted string."""
+    return isinstance(form, Symbol) and form == name
+
+
 def clauses(form, head: str, required, optional) -> dict[str, list]:
     """The clauses of a `(head (name ...) ...)` form, each name mapped to
     its arguments. Every name in required must appear, and no name outside
     required and optional may."""
-    if not (isinstance(form, list) and form and form[0] == Symbol(head)):
+    if not (isinstance(form, list) and form and is_symbol(form[0], head)):
         raise SexprError(f"expected a ({head} ...) form")
     out: dict[str, list] = {}
     for clause in form[1:]:

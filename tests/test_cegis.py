@@ -240,6 +240,14 @@ def test_parse_list_typed_example_values():
         ("(problem (output x Int) (grammar foo))", "(grammar \"path\")"),
         ("(problem (output x Int) (grammar))", "(grammar \"path\")"),
         ("(problem 5 (output x Int))", "bad clause"),
+        # a quoted string is not a keyword
+        ('("problem" (output x Int))', "expected a (problem"),
+        ('(problem (inputs (a Int)) (output x Int) (examples ((a 1) "=>" 1)))', "=>"),
+        # an integer literal longer than Python's int-to-string limit
+        pytest.param(
+            "(problem (output x Int) (spec (= x " + "9" * 5000 + ")))", "5000 characters",
+            id="5000-digit-literal",
+        ),
         # the problem and spec forms add two levels to the spec's own nesting
         (f"(problem (output x Int) (spec {nested_not(MAX_DEPTH - 1)}))", "nest deeper"),
     ],

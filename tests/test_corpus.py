@@ -148,6 +148,7 @@ def test_parse_def_without_params():
         ("(def f ((a Int)) -> Bool a)", "body has type Int"),
         ("(def f ((a Int)) -> Int (? Int))", "body contains a hole"),
         ("(def f ((a Int)) -> Int b)", "body"),
+        ('("def" f ((a Int)) -> Int a)', "expected a (def"),
         ("(def f ((l (List 'a))) -> Int (size l))", "non-ground"),
         ("(def f ((a Int)) -> Int (size (nil 'a)))", "uses a type variable"),
         ("(def f ((a Int)) -> Int a) (def f () -> Int 1)", "duplicate function f"),
@@ -171,6 +172,7 @@ def test_parse_program_errors(text, fragment):
         ("(def f ((a Int)) -> Int (requires (foo a)) a)", "f"),
         ("(def f ((a Int)) -> Int (+ a))", "f"),
         ("(def f ((a Int)) -> Int b)", "f"),
+        ('(def f ((a Int)) "->" Int a)', "f"),
     ],
 )
 def test_parse_def_raises_only_corpus_error_naming_the_def_once(text, name):

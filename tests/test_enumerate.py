@@ -48,6 +48,7 @@ from pgsynth.lang import (
     Var,
     evaluate,
     get_at,
+    hole_paths,
     holes,
     partial_eval,
     to_sexpr,
@@ -539,6 +540,39 @@ def test_key_scan_finds_the_leftmost_hole(text, scope, marker):
         at = to_sexpr(replace_leftmost_hole(pp.expr, Var("@"))).index("@")
         assert key.index("(?") == at, key
         assert key.startswith(to_sexpr(Hole(pp.hole_nts[0])), at), key
+
+
+@pytest.mark.parametrize("grammar", [two_sort_grammar, mixed_template_grammar])
+def test_expand_spines_match_hole_paths(grammar, monkeypatch):
+    g = grammar()
+    seen = []
+
+    def recording(pp, g):
+        kids = expand(pp, g)
+        seen.append((pp, kids))
+        return kids
+
+    monkeypatch.setattr("pgsynth.enumerate.expand", recording)
+    en = Enumerator(g, INT_NT, ASTAR, rewriter=IndistRewriter(_envs([2, 5, 7])), max_dequeues=2000)
+    list(en)
+    assert en.stats.expanded == len(seen) and en.stats.rewritten > 0
+    shallow = 0
+    for pp, kids in seen:
+        # the reference: the filled hole's path, and that path down to one
+        # step past where it parts from the next hole's path
+        paths = hole_paths(pp.expr)
+        at = paths[0]
+        done = ()
+        if len(paths) > 1:
+            d = next(d for d, (a, b) in enumerate(zip(at, paths[1])) if a != b)
+            done = at[: d + 1]
+        shallow += 0 < len(done) < len(at)
+        rules = g.rules_for(pp.hole_nts[0])
+        assert len(kids) == len(rules)
+        for r, child in zip(rules, kids):
+            assert child.spine == ((at, False) if r.child_nts else (done, True)), pp
+            assert get_at(child.expr, at) == r.template, pp
+    assert shallow > 0
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,12 @@ PARSE_ERRORS = [
     ("production nan [] zero () -> Int 0", "non-finite weight"),
     ("production inf [] zero () -> Int 0", "non-finite weight"),
     ("production " + "9" * 400 + " [] zero () -> Int 0", "non-finite weight"),
+    # a quoted string is not a keyword
+    ('"label" L Int', "expected `label` or `production`"),
+    ('"production" 1 [] one () -> Int 1', "expected `label` or `production`"),
+    ('production 1 [] one "->" Int 1', "parameter or ->"),
+    ('production 1 [] one () "->" Int 1', "whole parameter list"),
+    ('production 1 [] v () -> Int ("variable" Int)', "malformed expression"),
 ]
 
 

@@ -114,6 +114,19 @@ def test_type_parsing_round_trip():
         assert parse_type(type_str(t)) == t
 
 
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("Foo", "unknown type"),
+        ("(List)", "malformed type"),
+        ('("List" Int)', "malformed type"),  # a quoted string is not a keyword
+    ],
+)
+def test_parse_type_errors(text, fragment):
+    with pytest.raises(TypeCheckError, match=fragment):
+        parse_type(text)
+
+
 def test_type_size_and_vars():
     t = parse_type("(List (List Int))")
     assert type_size(t) == 3
@@ -351,6 +364,21 @@ def test_sexpr_reader_quoted_parens_are_strings():
     from pgsynth.sexpr import Symbol, parse_all
 
     assert parse_all('("(" ")") x') == [["(", ")"], Symbol("x")]
+
+
+@pytest.mark.parametrize("word", ["1_0", "+3", "\u0663"])
+def test_sexpr_reads_ints_only_from_ascii_digits(word):
+    from pgsynth.sexpr import Symbol, parse_one, write
+
+    assert parse_one(word) == Symbol(word)
+    assert write(parse_one(word)) == word
+
+
+def test_sexpr_rejects_an_int_too_long_to_print():
+    from pgsynth.sexpr import SexprError
+
+    with pytest.raises(SexprError, match="5000 characters"):
+        parse_expr("9" * 5000)
 
 
 def test_sexpr_write_nests_a_thousand_deep():

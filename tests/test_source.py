@@ -86,6 +86,20 @@ def test_private_import_check_sees_a_private_name():
     assert private_imports(tree) == ["_Unknown", "_clauses", "sexpr._atom"]
 
 
+# pyproject.toml allows Python 3.10; perfbench is read here, never imported
+PY310_SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", PY310_SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_sources_parse_with_the_python_3_10_grammar(path):
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_python_3_10_grammar_check_rejects_an_exception_group():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
 # spans.install over the modules perfbench/run.py traces
 INSTALL_SPANS = """
 import importlib, sys
