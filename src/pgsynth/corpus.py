@@ -8,24 +8,22 @@ A corpus file holds function definitions, optionally carrying contracts:
       (ensures (= result (head l)))
       (head l))
 
-Two extractors turn occurrence counts of expression kinds into weighted
-grammar files.  The depth-1 extractor keys counts on the kind alone and
-tags each rule: literals `const` (and `0` for the integer zero), variables
-`top`, operators their operator tag, the roles `grammar.apply_axioms`
-reads.  The depth-2 extractor keys counts on the kind plus the (parent
-operator, child position) context, encoded as labeled nonterminals, and
-adds a Type ::= Type_TOPLEVEL start rule per type.
+One extractor turns occurrence counts of expression kinds into a weighted
+grammar file: one rule per kind, with no parent context, tagged with the
+roles `grammar.apply_axioms` reads: literals `const` (and `0` for the
+integer zero), variables `top`, operators their operator tag.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import sexpr
-from .grammarfile import GrammarFile, LabelDecl, RawProduction
+from .grammarfile import GrammarFile, RawProduction
 from .lang import (
     A,
     BOOL,
@@ -320,19 +318,10 @@ def _kind_sort_key(k: ExprKind) -> tuple:
     return (_tslug(k.rtype), k.kind, disc)
 
 
-# a context is (parent AST class name, child position), or None at top level
-def _visit(e: Expr, scope: dict[str, Type], ctx, sink) -> Type:
-    tag = e.__class__.__name__
-    kid_types = [_visit(kid, scope, (tag, i), sink) for i, kid in enumerate(children(e))]
-    kind = _classify(e, kid_types, scope)
-    sink(kind, ctx)
+def _visit(e: Expr, scope: dict[str, Type], counts: Counter[ExprKind]) -> Type:
+    kind = _classify(e, [_visit(kid, scope, counts) for kid in children(e)], scope)
+    counts[kind] += 1
     return kind.rtype
-
-
-def _count_kinds(programs: Iterable[CorpusProgram], sink) -> None:
-    for prog in programs:
-        for fn in prog.functions:
-            _visit(fn.body, fn.scope, None, sink)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +353,9 @@ def extract_depth1(programs: Sequence[CorpusProgram]) -> GrammarFile:
     """One production per expression kind, weighted by occurrence count.
     All variable occurrences of a type collapse into one variable[T] rule."""
     counts: Counter[ExprKind] = Counter()
-    _count_kinds(programs, lambda k, ctx: counts.update([k]))
+    for prog in programs:
+        for fn in prog.functions:
+            _visit(fn.body, fn.scope, counts)
     prods = tuple(
         _depth1_production(k, float(counts[k])) for k in sorted(counts, key=_kind_sort_key)
     )
@@ -372,78 +363,15 @@ def extract_depth1(programs: Sequence[CorpusProgram]) -> GrammarFile:
 
 
 # ---------------------------------------------------------------------------
-# Depth-2 extraction
-
-
-def _ctx_sort_key(ctx) -> tuple:
-    return ("", -1) if ctx is None else ctx
-
-
-def _ctx_slug(ctx) -> str:
-    return "TOPLEVEL" if ctx is None else f"{ctx[1]}_{ctx[0]}"
-
-
-def _label_name(t: Type, ctx) -> str:
-    return f"{_tslug(t)}_{_ctx_slug(ctx)}"
-
-
-def _depth2_production(k: ExprKind, ctx, count: float) -> RawProduction:
-    name = f"{_kind_name(k)}_{_ctx_slug(ctx)}"
-    rtype = Nonterminal(k.rtype, _label_name(k.rtype, ctx))
-    if k.kind == "variable":
-        return RawProduction(name, count, frozenset(), (), (), rtype, None, k.rtype)
-    params = tuple(
-        (f"v{i}", Nonterminal(ct, _label_name(ct, (k.op, i))))
-        for i, ct in enumerate(_kind_child_types(k))
-    ) if k.kind == "operator" else ()
-    return RawProduction(name, count, frozenset(), (), params, rtype, _kind_body(k))
-
-
-def _start_production(t: Type) -> RawProduction:
-    ts = _tslug(t)
-    param = ("v0", Nonterminal(t, f"{ts}_TOPLEVEL"))
-    return RawProduction(f"p{ts}Start", 1.0, frozenset(), (), (param,), Nonterminal(t), Var("v0"))
-
-
-def extract_depth2(programs: Sequence[CorpusProgram]) -> GrammarFile:
-    """One production per (kind, parent context), weighted by occurrence
-    count.  Contexts become labeled nonterminals Type_pos_ParentTag, or
-    Type_TOPLEVEL for the root of a function body; a Type ::= Type_TOPLEVEL
-    start rule is added per top-level type.  No axiom tags are emitted."""
-    counts: Counter[tuple[ExprKind, object]] = Counter()
-    _count_kinds(programs, lambda k, ctx: counts.update([(k, ctx)]))
-
-    occurrences = {(k.rtype, ctx) for k, ctx in counts}
-    labels = tuple(
-        LabelDecl(_label_name(t, ctx), t)
-        for t, ctx in sorted(occurrences, key=lambda tc: (_tslug(tc[0]), _ctx_sort_key(tc[1])))
-    )
-    keys = sorted(
-        counts, key=lambda kc: (_tslug(kc[0].rtype), _ctx_sort_key(kc[1]), _kind_sort_key(kc[0]))
-    )
-    prods = [_depth2_production(k, ctx, float(counts[(k, ctx)])) for k, ctx in keys]
-    top_types = sorted({t for t, ctx in occurrences if ctx is None}, key=_tslug)
-    prods.extend(_start_production(t) for t in top_types)
-    return GrammarFile(labels, tuple(prods))
-
-
-# ---------------------------------------------------------------------------
 # Local bias
 
 
-def extract_local_bias(
-    program: CorpusProgram, depth: int = 1, multiplier: float = 5.0
-) -> GrammarFile:
-    """Extract a grammar from the one program under repair, scaling weights
-    by `multiplier` so that, merged with a corpus grammar, local habits are
-    favored without drowning out the general model."""
-    if multiplier <= 0:
-        raise CorpusError(f"local-bias multiplier must be positive, got {multiplier}")
-    if depth == 1:
-        gf = extract_depth1([program])
-    elif depth == 2:
-        gf = extract_depth2([program])
-    else:
-        raise CorpusError(f"extraction depth must be 1 or 2, got {depth}")
+def extract_local_bias(program: CorpusProgram, multiplier: float = 5.0) -> GrammarFile:
+    """The depth-1 grammar of the one program under repair, its weights
+    scaled by `multiplier` so that, merged with a corpus grammar, local
+    habits are favored without drowning out the general model."""
+    if not 0 < multiplier < math.inf:
+        raise CorpusError(f"local-bias multiplier must be positive and finite, got {multiplier}")
+    gf = extract_depth1([program])
     prods = tuple(replace(p, weight=p.weight * multiplier) for p in gf.productions)
     return GrammarFile(gf.labels, prods)

@@ -89,10 +89,9 @@ class RepairError(LangError):
 Point = dict[str, Value]
 
 # repair's grammars weigh the broken term's subtrees SIMILAR_SIGMA * 2^(-depth)
-# (similar_term_grammar) and scale the program's own habits by
+# (similar_term_grammar) and scale the program's own kind counts by
 # LOCAL_BIAS_MULTIPLIER (extract_local_bias); failing tests seed each search
 SIMILAR_SIGMA = 20.0
-LOCAL_BIAS_DEPTH = 1
 LOCAL_BIAS_MULTIPLIER = 5.0
 MAX_SEED_POINTS = 8
 
@@ -270,8 +269,8 @@ def similar_term_grammar(
     """Add one production per subtree of the broken expression, verbatim, at
     the plain nonterminal of its type, weighted sigma * 2^(-depth): the
     enumerator then reaches small variations of the broken term early."""
-    if sigma <= 0:
-        raise RepairError(f"similar-term weight sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise RepairError(f"similar-term weight sigma must be positive and finite, got {sigma}")
     prods = []
     for i, (path, s) in enumerate(iter_subexprs(broken)):
         rtype = Nonterminal(type_of(s, scope))
@@ -390,7 +389,7 @@ def repair(
 
     plain = merge_grammar_files(
         [base if base is not None else _builtin_base(),
-         extract_local_bias(task.program, LOCAL_BIAS_DEPTH, LOCAL_BIAS_MULTIPLIER)]
+         extract_local_bias(task.program, LOCAL_BIAS_MULTIPLIER)]
     )
     locations = localize(fn, suite.failing)
     if max_locations is not None:

@@ -1,9 +1,10 @@
-"""Tests for corpus program parsing and the grammar extractors: depth-1
-kind counts, depth-2 parent-context counts with labeled nonterminals, and
-the scaled local-bias file.  Count invariants are gated by an independent
-per-node oracle built on iter_subexprs and the reference typechecker."""
+"""Tests for corpus program parsing and the grammar extractor: depth-1
+kind counts, the search over an extracted grammar, and the scaled
+local-bias file.  Count invariants are gated by an independent per-node
+oracle built on iter_subexprs and the reference typechecker."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -13,14 +14,13 @@ from pgsynth.corpus import (
     CorpusProgram,
     FunctionDef,
     extract_depth1,
-    extract_depth2,
     extract_local_bias,
     load_corpus,
     load_program,
     parse_def,
     parse_program,
 )
-from pgsynth.enumerate import Enumerator
+from pgsynth.enumerate import ASTAR, Enumerator
 from pgsynth.sexpr import MAX_DEPTH, parse_one
 from pgsynth.grammar import normalize
 from pgsynth.grammarfile import (
@@ -32,7 +32,6 @@ from pgsynth.grammarfile import (
 from pgsynth.lang import (
     BOOL,
     INT,
-    Hole,
     IntLit,
     ListType,
     Nonterminal,
@@ -40,11 +39,11 @@ from pgsynth.lang import (
     Var,
     iter_subexprs,
     parse_expr,
-    subst_var,
     to_sexpr,
     type_of,
     type_str,
 )
+from oracle import derivations
 from test_lang import random_typed_expr
 
 LIST_INT = ListType(INT)
@@ -64,19 +63,6 @@ def oracle_type_counts(programs):
                 t = type_str(type_of(e, fn.scope))
                 counts[t] = counts.get(t, 0) + 1
     return counts
-
-
-def label_free_key(p):
-    """Production identity with nonterminal labels erased: what a depth-2
-    rule looks like after forgetting its parent context."""
-    if p.variable_of is not None:
-        template = ("variable", type_str(p.variable_of))
-    else:
-        body = p.body
-        for pname, nt in p.params:
-            body = subst_var(body, pname, Hole(Nonterminal(nt.base)))
-        template = ("body", to_sexpr(body))
-    return (type_str(p.rtype.base), template)
 
 
 def weights_by(productions, key):
@@ -277,72 +263,28 @@ def test_extraction_ignores_contracts():
     assert by_name["pBoolLeq"] == 1.0
 
 
-def test_empty_corpus_gives_empty_file():
-    for extract in (extract_depth1, extract_depth2):
-        gf = extract([])
-        assert gf.labels == () and gf.productions == ()
-        assert emit_grammar_file(gf).strip() == ""
-        assert extract([parse_program("")]) == gf
-
-
-# ---------------------------------------------------------------------------
-# Depth-2 extraction
-
-
-def test_depth2_times_corpus_listing():
-    gf = extract_depth2([TIMES_PROG])
-    assert [(ld.name, ld.base) for ld in gf.labels] == [
-        ("Int_TOPLEVEL", INT),
-        ("Int_0_Times", INT),
-        ("Int_1_Times", INT),
+def test_depth1_grammar_enumerates_in_cost_order():
+    # one rule each for 2, x and *, each at probability 1/3: first 2 and x,
+    # then the four products of them, as the oracle derives them to depth 2
+    pcfg = normalize(desugar(extract_depth1([TIMES_PROG]), {"x": INT}))
+    start = Nonterminal(INT)
+    emitted = [
+        (to_sexpr(pp.expr), pp.cost)
+        for pp in itertools.islice(Enumerator(pcfg, start, ASTAR), 6)
     ]
-    times, var, lit, start = gf.productions
-    assert times.name == "pIntTimes_TOPLEVEL"
-    assert times.rtype == Nonterminal(INT, "Int_TOPLEVEL")
-    assert times.params == (
-        ("v0", Nonterminal(INT, "Int_0_Times")),
-        ("v1", Nonterminal(INT, "Int_1_Times")),
-    )
-    assert (var.name, var.rtype) == ("pIntVariable_0_Times", Nonterminal(INT, "Int_0_Times"))
-    assert var.variable_of == INT
-    assert (lit.name, lit.rtype) == ("pIntLit2_1_Times", Nonterminal(INT, "Int_1_Times"))
-    assert lit.body == IntLit(2)
-    assert (start.name, start.weight) == ("pIntStart", 1.0)
-    assert start.params == (("v0", Nonterminal(INT, "Int_TOPLEVEL")),)
-    assert (start.rtype, start.body) == (Nonterminal(INT), Var("v0"))
-    assert all(p.weight == 1.0 and p.tags == frozenset() for p in gf.productions)
+    got = sorted(emitted)
+    want = sorted((to_sexpr(e), cost) for e, cost in derivations(pcfg, start, 2))
+    assert [s for s, _ in got] == [s for s, _ in want]
+    assert [c for _, c in got] == pytest.approx([c for _, c in want])
+    third = math.log(3)
+    assert [c for _, c in emitted] == pytest.approx([third] * 2 + [3 * third] * 4)
 
 
-def test_depth2_nested_plus_contexts():
-    # (+ 1 (+ 1 x)): root plus at TOPLEVEL; both 1s at (Plus, 0);
-    # the inner plus and x at (Plus, 1)
-    gf = extract_depth2([parse_program("(def f ((x Int)) -> Int (+ 1 (+ 1 x)))")])
-    assert [ld.name for ld in gf.labels] == ["Int_TOPLEVEL", "Int_0_Plus", "Int_1_Plus"]
-    by_name = {p.name: p.weight for p in gf.productions}
-    assert by_name == {
-        "pIntPlus_TOPLEVEL": 1.0,
-        "pIntLit1_0_Plus": 2.0,
-        "pIntPlus_1_Plus": 1.0,
-        "pIntVariable_1_Plus": 1.0,
-        "pIntStart": 1.0,
-    }
-
-
-def test_depth2_start_rules_only_for_toplevel_types():
-    gf = extract_depth2([parse_program("(def f ((l (List Int))) -> Int (size l))")])
-    assert [ld.name for ld in gf.labels] == ["Int_TOPLEVEL", "ListInt_0_Size"]
-    names = [p.name for p in gf.productions]
-    assert names == ["pIntSizeInt_TOPLEVEL", "pListIntVariable_0_Size", "pIntStart"]
-    size = gf.productions[0]
-    assert size.params == (("v0", Nonterminal(LIST_INT, "ListInt_0_Size")),)
-
-
-def test_depth2_generates_exactly_the_corpus_expression():
-    pcfg = normalize(desugar(extract_depth2([TIMES_PROG]), {"x": INT}))
-    en = Enumerator(pcfg, Nonterminal(INT))
-    emitted = [(to_sexpr(pp.expr), pp.cost) for pp in itertools.islice(en, 5)]
-    assert emitted == [("(* x 2)", 0.0)]
-    assert en.exhausted
+def test_empty_corpus_gives_empty_file():
+    gf = extract_depth1([])
+    assert gf.labels == () and gf.productions == ()
+    assert emit_grammar_file(gf).strip() == ""
+    assert extract_depth1([parse_program("")]) == gf
 
 
 # ---------------------------------------------------------------------------
@@ -369,26 +311,13 @@ def test_depth1_count_conservation():
         assert got == oracle_type_counts(programs)
 
 
-def test_depth2_refines_depth1():
-    rng = random.Random(8)
-    for _ in range(25):
-        programs = [random_program(rng) for _ in range(2)]
-        d1 = extract_depth1(programs)
-        d2 = extract_depth2(programs)
-        inner = [p for p in d2.productions if p.rtype.attr is not None]
-        assert weights_by(inner, label_free_key) == weights_by(d1.productions, label_free_key)
-        got = weights_by(inner, lambda p: type_str(p.rtype.base))
-        assert got == oracle_type_counts(programs)
-
-
 def test_extraction_is_deterministic():
     rng = random.Random(9)
     programs = [random_program(rng) for _ in range(4)]
-    for extract in (extract_depth1, extract_depth2):
-        text = emit_grammar_file(extract(programs))
-        assert emit_grammar_file(extract(list(reversed(programs)))) == text
-        assert emit_grammar_file(extract(list(programs))) == text
-        assert parse_grammar_file(text) == extract(programs)
+    text = emit_grammar_file(extract_depth1(programs))
+    assert emit_grammar_file(extract_depth1(list(reversed(programs)))) == text
+    assert emit_grammar_file(extract_depth1(list(programs))) == text
+    assert parse_grammar_file(text) == extract_depth1(programs)
 
 
 def test_emitted_files_parse_back():
@@ -396,9 +325,8 @@ def test_emitted_files_parse_back():
         "(def f ((x Int) (l (List Int))) -> Int (if (isEmpty l) x (head l)))"
         "(def g ((x Int)) -> (List Int) (cons x (nil Int)))"
     )
-    for extract in (extract_depth1, extract_depth2):
-        gf = extract([prog])
-        assert parse_grammar_file(emit_grammar_file(gf)) == gf
+    gf = extract_depth1([prog])
+    assert parse_grammar_file(emit_grammar_file(gf)) == gf
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +344,15 @@ def test_local_bias_scales_weights():
     assert {p.weight for p in custom.productions} == {2.5}
 
 
-def test_local_bias_depth2():
-    gf = extract_local_bias(TIMES_PROG, depth=2)
-    by_name = {p.name: p.weight for p in gf.productions}
-    assert by_name["pIntTimes_TOPLEVEL"] == 5.0
-    assert by_name["pIntStart"] == 5.0
-    assert [ld.name for ld in gf.labels] == ["Int_TOPLEVEL", "Int_0_Times", "Int_1_Times"]
-
-
 def test_local_bias_rejects_bad_config():
     with pytest.raises(CorpusError, match="multiplier must be positive"):
         extract_local_bias(TIMES_PROG, multiplier=0)
     with pytest.raises(CorpusError, match="multiplier must be positive"):
         extract_local_bias(TIMES_PROG, multiplier=-2)
-    with pytest.raises(CorpusError, match="depth must be 1 or 2"):
-        extract_local_bias(TIMES_PROG, depth=3)
+    with pytest.raises(CorpusError, match="multiplier must be positive"):
+        extract_local_bias(TIMES_PROG, multiplier=float("nan"))
+    with pytest.raises(CorpusError, match="multiplier must be positive"):
+        extract_local_bias(TIMES_PROG, multiplier=math.inf)
 
 
 def test_local_bias_merges_with_corpus_grammar():

@@ -434,7 +434,7 @@ def test_similar_term_single_variable():
     assert len(sims) == 1 and sims[0].weight == 20.0
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.5])
+@pytest.mark.parametrize("sigma", [0.0, -1.5, float("nan"), float("inf")])
 def test_similar_term_sigma_must_be_positive(sigma):
     base = parse_grammar_file("production 1 [] vInt () -> Int (variable Int)")
     with pytest.raises(RepairError, match="sigma must be positive"):

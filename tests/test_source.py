@@ -86,11 +86,12 @@ def test_private_import_check_sees_a_private_name():
     assert private_imports(tree) == ["_Unknown", "_clauses", "sexpr._atom"]
 
 
-# pyproject.toml allows Python 3.10; perfbench is read here, never imported
-PY310_SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+# every Python file of the repository; perfbench is read here, never imported
+SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
-@pytest.mark.parametrize("path", PY310_SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+# pyproject.toml allows Python 3.10
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_sources_parse_with_the_python_3_10_grammar(path):
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
@@ -98,6 +99,68 @@ def test_sources_parse_with_the_python_3_10_grammar(path):
 def test_python_3_10_grammar_check_rejects_an_exception_group():
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def mentioned_names(node: ast.AST):
+    """The names node mentions: a loaded name, an attribute, an imported
+    name, or a string constant that is an identifier (perfbench/spans.py
+    looks functions up by string)."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            yield n.value
+
+
+def unnamed_definitions(trees: dict[Path, ast.Module], module: Path) -> list[str]:
+    """The module-level functions, classes and assigned names of
+    trees[module], dunders aside, that no tree mentions outside the
+    statement that defines them."""
+    where: dict[str, set] = {}
+    for path, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            for name in mentioned_names(stmt):
+                where.setdefault(name, set()).add((path, i))
+    return sorted(
+        name
+        for i, stmt in enumerate(trees[module].body)
+        for name in defined_names(stmt)
+        if not name.startswith("__") and not where.get(name, set()) - {(module, i)}
+    )
+
+
+@pytest.fixture(scope="module")
+def source_trees():
+    return {p: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_definition_is_named_somewhere(path, source_trees):
+    assert unnamed_definitions(source_trees, path) == []
+
+
+def test_definition_check_sees_an_unused_helper():
+    trees = {
+        Path("m.py"): ast.parse("def _helper():\n    return _helper()\n\ndef used():\n    pass\n\nX = 1\n"),
+        Path("n.py"): ast.parse("from m import used\nimport m\nprint(getattr(m, 'X'))\n"),
+    }
+    assert unnamed_definitions(trees, Path("m.py")) == ["_helper"]
 
 
 # spans.install over the modules perfbench/run.py traces
