@@ -9,9 +9,10 @@ A corpus file holds function definitions, optionally carrying contracts:
       (head l))
 
 One extractor turns occurrence counts of expression kinds into a weighted
-grammar file: one rule per kind, with no parent context, tagged with the
-roles `grammar.apply_axioms` reads: literals `const` (and `0` for the
-integer zero), variables `top`, operators their operator tag.
+grammar file. Each node of a body is read once, into its kind's sort key
+and rule; the file holds one rule per kind, with no parent context, tagged
+with the roles `grammar.apply_axioms` reads: literals `const` (and `0` for
+the integer zero), variables `top`, operators their operator tag.
 """
 
 from __future__ import annotations
@@ -234,56 +235,7 @@ def replace_function(prog: CorpusProgram, fn: FunctionDef) -> CorpusProgram:
 
 
 # ---------------------------------------------------------------------------
-# Expression kinds
-
-# what must be recorded per expression so that the kind plus child
-# expressions reconstructs it: variables keep only their type, literals
-# their value, operators their AST tag and type instantiation
-@dataclass(frozen=True)
-class ExprKind:
-    kind: str  # "literal" | "operator" | "variable"
-    rtype: Type
-    value: int | bool | None = None
-    op: str | None = None
-    inst: Type | None = None
-
-
-_OPS = {cls.__name__: op for cls, op in OPERATORS.items()}
-
-
-def _rule_tag(name: str) -> str:
-    # the axiom vocabulary: the surface tag of a word operator (if, isEmpty,
-    # ...), else the class name in lower case (plus, minus, times, leq, eq)
-    tag = _OPS[name].tag
-    return tag if tag.isalpha() else name.lower()
-
-
-def _classify(e: Expr, kid_types: list[Type], scope: dict[str, Type]) -> ExprKind:
-    """e's kind; an operator's inst is the binding of its signature's 'a."""
-    cls = e.__class__
-    if cls is Var:
-        return ExprKind("variable", scope[e.name])
-    if cls is IntLit or cls is BoolLit:
-        return ExprKind("literal", INT if cls is IntLit else BOOL, value=e.value)
-    op = OPERATORS.get(cls)
-    if op is None:
-        raise CorpusError(f"cannot extract from {e!r}")
-    sub = op.bind(e, kid_types)
-    return ExprKind("operator", subst_type(op.result, sub), op=cls.__name__, inst=sub.get(A.name))
-
-
-def _kind_child_types(k: ExprKind) -> tuple[Type, ...]:
-    sub = {} if k.inst is None else {A.name: k.inst}
-    return tuple(subst_type(p, sub) for p in _OPS[k.op].params)
-
-
-def _kind_body(k: ExprKind) -> Expr:
-    if k.kind == "literal":
-        return BoolLit(k.value) if k.rtype == BOOL else IntLit(k.value)
-    if k.op == "Nil":
-        return Nil(k.inst)
-    args = tuple(Var(f"v{i}") for i in range(len(_OPS[k.op].params)))
-    return _OPS[k.op].cls(*args)
+# Extraction
 
 
 def _tslug(t: Type) -> str:
@@ -292,73 +244,62 @@ def _tslug(t: Type) -> str:
     return type_str(t)
 
 
-def _vslug(value) -> str:
-    if isinstance(value, bool):
-        return "True" if value else "False"
-    return str(value).replace("-", "m")
+def _kind(e: Expr, kid_types: list[Type], scope: dict[str, Type]) -> tuple[tuple, RawProduction]:
+    """The sort key of e's kind, and its rule with weight 0. A kind records
+    what must be kept per expression so that the kind plus child
+    expressions reconstructs it: a variable keeps only its type, a literal
+    its value, an operator its class and the binding of its signature's 'a.
+    Keys order kinds by result type, then literals (by value), operators
+    (by class) and variables; distinct kinds have distinct keys."""
+    cls = e.__class__
+    if cls is Var:
+        t = scope[e.name]
+        ts = _tslug(t)
+        top = frozenset({"top"})
+        rule = RawProduction(f"p{ts}Variable", 0.0, top, (), (), Nonterminal(t), None, t)
+        return (ts, "variable", ()), rule
+    if cls is IntLit or cls is BoolLit:
+        t, v = (INT if cls is IntLit else BOOL), e.value
+        ts = _tslug(t)
+        tags = frozenset({"const", "0"} if cls is IntLit and v == 0 else {"const"})
+        name = f"p{ts}Lit{str(v).replace('-', 'm')}"
+        rule = RawProduction(name, 0.0, tags, (), (), Nonterminal(t), e)
+        return (ts, "literal", (ts, int(v))), rule
+    op = OPERATORS.get(cls)
+    if op is None:
+        raise CorpusError(f"cannot extract from {e!r}")
+    sub = op.bind(e, kid_types)
+    t = subst_type(op.result, sub)
+    ts, inst = _tslug(t), _tslug(sub[A.name]) if A.name in sub else ""
+    # the axiom vocabulary: the surface tag of a word operator (if, isEmpty,
+    # ...), else the class name in lower case (plus, minus, times, leq, eq)
+    tag = op.tag if op.tag.isalpha() else cls.__name__.lower()
+    params = tuple((f"v{i}", Nonterminal(subst_type(p, sub))) for i, p in enumerate(op.params))
+    body = e if cls is Nil else cls(*(Var(v) for v, _ in params))
+    name = f"p{ts}{cls.__name__}{inst}"
+    rule = RawProduction(name, 0.0, frozenset({tag}), (), params, Nonterminal(t), body)
+    return (ts, "operator", (cls.__name__, inst)), rule
 
 
-def _kind_name(k: ExprKind) -> str:
-    ts = _tslug(k.rtype)
-    if k.kind == "variable":
-        return f"p{ts}Variable"
-    if k.kind == "literal":
-        return f"p{ts}Lit{_vslug(k.value)}"
-    inst = _tslug(k.inst) if k.inst is not None else ""
-    return f"p{ts}{k.op}{inst}"
-
-
-def _kind_sort_key(k: ExprKind) -> tuple:
-    if k.kind == "literal":
-        disc: tuple = (_tslug(k.rtype), int(k.value))
-    elif k.kind == "operator":
-        disc = (k.op, _tslug(k.inst) if k.inst is not None else "")
-    else:
-        disc = ()
-    return (_tslug(k.rtype), k.kind, disc)
-
-
-def _visit(e: Expr, scope: dict[str, Type], counts: Counter[ExprKind]) -> Type:
-    kind = _classify(e, [_visit(kid, scope, counts) for kid in children(e)], scope)
-    counts[kind] += 1
-    return kind.rtype
-
-
-# ---------------------------------------------------------------------------
-# Depth-1 extraction
-
-
-def _depth1_tags(k: ExprKind) -> frozenset[str]:
-    if k.kind == "variable":
-        return frozenset({"top"})
-    if k.kind == "literal":
-        tags = {"const"}
-        if k.value == 0 and k.rtype == INT:
-            tags.add("0")
-        return frozenset(tags)
-    return frozenset({_rule_tag(k.op)})
-
-
-def _depth1_production(k: ExprKind, count: float) -> RawProduction:
-    name, tags, rtype = _kind_name(k), _depth1_tags(k), Nonterminal(k.rtype)
-    if k.kind == "variable":
-        return RawProduction(name, count, tags, (), (), rtype, None, k.rtype)
-    params = tuple(
-        (f"v{i}", Nonterminal(ct)) for i, ct in enumerate(_kind_child_types(k))
-    ) if k.kind == "operator" else ()
-    return RawProduction(name, count, tags, (), params, rtype, _kind_body(k))
+def _visit(e: Expr, scope: dict[str, Type], counts: Counter, rules: dict) -> Type:
+    """Count the kinds of e's nodes into counts, keep each kind's rule in
+    rules, and return e's type."""
+    key, rule = _kind(e, [_visit(kid, scope, counts, rules) for kid in children(e)], scope)
+    counts[key] += 1
+    rules[key] = rule
+    return rule.rtype.base
 
 
 def extract_depth1(programs: Sequence[CorpusProgram]) -> GrammarFile:
-    """One production per expression kind, weighted by occurrence count.
-    All variable occurrences of a type collapse into one variable[T] rule."""
-    counts: Counter[ExprKind] = Counter()
+    """One production per expression kind of the programs' bodies, weighted
+    by its occurrence count and sorted by kind key. All variable occurrences
+    of a type collapse into one variable[T] rule."""
+    counts: Counter[tuple] = Counter()
+    rules: dict[tuple, RawProduction] = {}
     for prog in programs:
         for fn in prog.functions:
-            _visit(fn.body, fn.scope, counts)
-    prods = tuple(
-        _depth1_production(k, float(counts[k])) for k in sorted(counts, key=_kind_sort_key)
-    )
+            _visit(fn.body, fn.scope, counts, rules)
+    prods = tuple(replace(rules[k], weight=float(counts[k])) for k in sorted(counts))
     return GrammarFile((), prods)
 
 
@@ -372,6 +313,12 @@ def extract_local_bias(program: CorpusProgram, multiplier: float = 5.0) -> Gramm
     habits are favored without drowning out the general model."""
     if not 0 < multiplier < math.inf:
         raise CorpusError(f"local-bias multiplier must be positive and finite, got {multiplier}")
-    gf = extract_depth1([program])
-    prods = tuple(replace(p, weight=p.weight * multiplier) for p in gf.productions)
-    return GrammarFile(gf.labels, prods)
+    prods = []
+    for p in extract_depth1([program]).productions:
+        weight = p.weight * multiplier
+        if not math.isfinite(weight):
+            raise CorpusError(
+                f"local-bias weight of {p.name} overflows: {p.weight:g} * {multiplier:g}"
+            )
+        prods.append(replace(p, weight=weight))
+    return GrammarFile((), tuple(prods))

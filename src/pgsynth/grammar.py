@@ -20,6 +20,7 @@ from .lang import (
     Expr,
     Hole,
     Minus,
+    Nil,
     Nonterminal,
     Plus,
     Type,
@@ -303,8 +304,6 @@ def _instantiate_rule(r: ProductionRule, sub: dict[str, Type], types) -> Product
 
 
 def _subst_template(e: Expr, sub: dict[str, Type]) -> Expr:
-    from .lang import Nil
-
     match e:
         case Hole(nt):
             return Hole(Nonterminal(subst_type(nt.base, sub), nt.attr))

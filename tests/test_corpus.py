@@ -1,7 +1,8 @@
-"""Tests for corpus program parsing and the grammar extractor: depth-1
-kind counts, the search over an extracted grammar, and the scaled
-local-bias file.  Count invariants are gated by an independent per-node
-oracle built on iter_subexprs and the reference typechecker."""
+"""Tests for corpus program parsing and the grammar extractor: one rule per
+expression kind, weighted by its count, a golden file over every operator,
+the search over an extracted grammar, and the scaled local-bias file.
+Count invariants are gated by an independent per-node oracle built on
+iter_subexprs and the reference typechecker."""
 
 import itertools
 import math
@@ -287,6 +288,63 @@ def test_empty_corpus_gives_empty_file():
     assert extract_depth1([parse_program("")]) == gf
 
 
+# all 14 operator classes, a negative literal, both bool literals, and kinds
+# at (List Int) and (List (List Int))
+EVERY_OPERATOR_TEXT = """
+(def f ((i Int) (b Bool) (l (List Int)) (ll (List (List Int)))) -> Int
+  (if (and b (not (<= i -3)))
+      (+ (- i 1) (* (size l) (head l)))
+      (if (= (tail l) (cons 0 (nil Int))) 0 (size (head ll)))))
+
+(def g ((ll (List (List Int))) (b Bool)) -> Bool
+  (= (isEmpty ll) (if b (isEmpty (tail ll)) (and true (not (isEmpty ll))))))
+
+(def h ((ll (List (List Int)))) -> (List (List Int))
+  (if false (cons (nil Int) (nil (List Int))) (tail ll)))
+"""
+
+# sorted by result type, then variables, literals (by value) and operators
+EVERY_OPERATOR_GRAMMAR = """\
+production 1 [const] pBoolLitFalse () -> Bool false
+production 1 [const] pBoolLitTrue () -> Bool true
+production 2 [and] pBoolAnd (v0 Bool) (v1 Bool) -> Bool (and v0 v1)
+production 1 [eq] pBoolEqBool (v0 Bool) (v1 Bool) -> Bool (= v0 v1)
+production 1 [eq] pBoolEqListInt (v0 (List Int)) (v1 (List Int)) -> Bool (= v0 v1)
+production 3 [isEmpty] pBoolIsEmptyListInt (v0 (List (List Int))) -> Bool (isEmpty v0)
+production 1 [if] pBoolIteBool (v0 Bool) (v1 Bool) (v2 Bool) -> Bool (if v0 v1 v2)
+production 1 [leq] pBoolLeq (v0 Int) (v1 Int) -> Bool (<= v0 v1)
+production 2 [not] pBoolNot (v0 Bool) -> Bool (not v0)
+production 2 [top] pBoolVariable () -> Bool (variable Bool)
+production 1 [const] pIntLitm3 () -> Int -3
+production 2 [0,const] pIntLit0 () -> Int 0
+production 1 [const] pIntLit1 () -> Int 1
+production 1 [head] pIntHeadInt (v0 (List Int)) -> Int (head v0)
+production 2 [if] pIntIteInt (v0 Bool) (v1 Int) (v2 Int) -> Int (if v0 v1 v2)
+production 1 [minus] pIntMinus (v0 Int) (v1 Int) -> Int (- v0 v1)
+production 1 [plus] pIntPlus (v0 Int) (v1 Int) -> Int (+ v0 v1)
+production 2 [size] pIntSizeInt (v0 (List Int)) -> Int (size v0)
+production 1 [times] pIntTimes (v0 Int) (v1 Int) -> Int (* v0 v1)
+production 2 [top] pIntVariable () -> Int (variable Int)
+production 1 [cons] pListIntConsInt (v0 Int) (v1 (List Int)) -> (List Int) (cons v0 v1)
+production 1 [head] pListIntHeadListInt (v0 (List (List Int))) -> (List Int) (head v0)
+production 2 [nil] pListIntNilInt () -> (List Int) (nil Int)
+production 1 [tail] pListIntTailInt (v0 (List Int)) -> (List Int) (tail v0)
+production 3 [top] pListIntVariable () -> (List Int) (variable (List Int))
+production 1 [cons] pListListIntConsListInt (v0 (List Int)) (v1 (List (List Int))) \
+-> (List (List Int)) (cons v0 v1)
+production 1 [if] pListListIntIteListListInt (v0 Bool) (v1 (List (List Int))) \
+(v2 (List (List Int))) -> (List (List Int)) (if v0 v1 v2)
+production 1 [nil] pListListIntNilListInt () -> (List (List Int)) (nil (List Int))
+production 2 [tail] pListListIntTailListInt (v0 (List (List Int))) -> (List (List Int)) (tail v0)
+production 5 [top] pListListIntVariable () -> (List (List Int)) (variable (List (List Int)))
+"""
+
+
+def test_extraction_covers_every_operator():
+    gf = extract_depth1([parse_program(EVERY_OPERATOR_TEXT)])
+    assert emit_grammar_file(gf) == EVERY_OPERATOR_GRAMMAR
+
+
 # ---------------------------------------------------------------------------
 # Invariants over random corpora
 
@@ -353,6 +411,16 @@ def test_local_bias_rejects_bad_config():
         extract_local_bias(TIMES_PROG, multiplier=float("nan"))
     with pytest.raises(CorpusError, match="multiplier must be positive"):
         extract_local_bias(TIMES_PROG, multiplier=math.inf)
+
+
+def test_local_bias_rejects_an_overflowing_weight():
+    # pIntVariable counts 2, so 1e308 overflows where 1e300 does not
+    prog = parse_program("(def f ((a Int)) -> Int (+ a a))")
+    with pytest.raises(CorpusError, match="weight of pIntVariable overflows"):
+        extract_local_bias(prog, multiplier=1e308)
+    gf = extract_local_bias(prog, multiplier=1e300)
+    assert [p.weight for p in gf.productions] == [1e300, 2e300]
+    assert parse_grammar_file(emit_grammar_file(gf)) == gf
 
 
 def test_local_bias_merges_with_corpus_grammar():

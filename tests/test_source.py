@@ -86,6 +86,29 @@ def test_private_import_check_sees_a_private_name():
     assert private_imports(tree) == ["_Unknown", "_clauses", "sexpr._atom"]
 
 
+def nested_imports(tree: ast.Module) -> list[int]:
+    """The lines of the imports that are not statements of the module
+    itself, e.g. an import inside a function that runs on every call."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    assert nested_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_nested_import_check_sees_an_import_in_a_function():
+    tree = ast.parse(
+        "import os\nfrom a import b\n\ndef f():\n    from .lang import Nil\n"
+        "    return Nil\n\nif b:\n    import sys\n"
+    )
+    assert nested_imports(tree) == [5, 9]
+
+
 # every Python file of the repository; perfbench is read here, never imported
 SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
