@@ -93,6 +93,21 @@ def check_bounds(error: type[LangError], **bounds: float | None) -> None:
             raise error(f"{name} must be at least 0, got {n}")
 
 
+def check_point(error: type[LangError], point, params, what: str, whose: str) -> dict[str, Value]:
+    """point as a fresh dict. Raise error, naming the point as what, when it
+    does not bind exactly the names of params, (name, type) pairs listed as
+    whose, or when a value does not fit its name's type."""
+    env = dict(point)
+    if env.keys() != {n for n, _ in params}:
+        raise error(
+            f"{what} must bind exactly {whose}: {', '.join(n for n, _ in params) or '(none)'}"
+        )
+    for n, t in params:
+        if not value_fits(env[n], t):
+            raise error(f"{what} value for {n} does not fit {type_str(t)}")
+    return env
+
+
 def conjoin(exprs) -> Expr:
     """Balanced conjunction, the larger half on the left, so n conjuncts nest
     about log2(n) deep: (and (and a b) c). And yields its first non-true
@@ -298,9 +313,11 @@ def make_prune(problem: SynthesisProblem, points, memo=None):
     """Discard a (partial) production iff the implication partially evaluates
     to a definite false on some point: no completion can recover. Outcomes
     come from memo, one dict per point keyed by the candidate's partial value
-    (see point_outcomes); search passes the memo its other checks share."""
-    points = list(points)
+    (see point_outcomes). search passes the memo its other checks share, and
+    its own list of points, which the check then reads as it is; without a
+    memo the check copies the points and makes a memo of its own."""
     if memo is None:
+        points = list(points)
         memo = [{} for _ in points]
 
     def prune(e: Expr) -> bool:
@@ -311,9 +328,10 @@ def make_prune(problem: SynthesisProblem, points, memo=None):
 
 def make_score(problem: SynthesisProblem, points, memo=None):
     """Count the points on which the implication is already definitely true.
-    Outcomes come from memo as for make_prune."""
-    points = list(points)
+    Outcomes come from memo, and points are shared or copied, as for
+    make_prune."""
     if memo is None:
+        points = list(points)
         memo = [{} for _ in points]
 
     def score(e: Expr) -> int:
@@ -342,37 +360,28 @@ def search(
     points,
     mode: PriorityMode | None = None,
     *,
-    prune: bool = True,
-    indist: bool = True,
-    dedup: bool = True,
     max_dequeues: int = DEFAULT_SEARCH_DEQUEUES,
     timeout_s: float | None = DEFAULT_SEARCH_SECONDS,
     trace=None,
 ) -> SearchResult:
     """Return the first enumerated complete t satisfying the implication on
-    every point, or not-found when the budget ends the stream first. With an
-    empty point set the conjunction is vacuous and the first emission wins."""
+    every point, or not-found when the budget ends the stream first. Each
+    point binds exactly the inputs, with values of their types. With points
+    it builds the prune hook and the rewriter, and in astar-score mode the
+    score hook, all over one list of the points and one memo; with none the
+    conjunction is vacuous and the first emission wins."""
     mode = mode if mode is not None else astar_score()
-    points = [dict(a) for a in points]
+    points = [check_point(ProblemError, a, problem.inputs, "point", "the input names") for a in points]
     memo = [{} for _ in points]  # shared by every point check of this search
     start = g.start(problem.output_type)
-    prune_fn = make_prune(problem, points, memo) if prune and points else None
-    score_fn = (
-        make_score(problem, points, memo)
-        if mode.kind == "astar-score" and points
-        else None
-    )
-    rewriter = IndistRewriter(points) if indist and points else None
+    score_fn = make_score(problem, points, memo) if points and mode.kind == "astar-score" else None
     en = Enumerator(
-        g,
-        start,
-        mode,
-        prune=prune_fn,
+        g, start, mode,
+        prune=make_prune(problem, points, memo) if points else None,
         score=score_fn,
-        rewriter=rewriter,
+        rewriter=IndistRewriter(points) if points else None,
         max_dequeues=max_dequeues,
         deadline=None if timeout_s is None else time.monotonic() + timeout_s,
-        dedup=dedup,
         trace=trace,
     )
     best, best_n = None, 0
@@ -501,7 +510,8 @@ def verify(
     list_bound: int = DEFAULT_LIST_BOUND,
     max_points: int = DEFAULT_VERIFY_POINTS,
 ) -> VerifyResult:
-    """Bounded-exhaustive check of t against the problem. Scans every bounded
+    """Bounded-exhaustive check of t, a complete expression of the output
+    type over the inputs, against the problem. Scans every bounded
     valuation satisfying pc; the first falsifying point (in the documented
     order) becomes the counterexample. A domain larger than max_points is not
     scanned and reports unknown. The domain's order is computed once per
@@ -510,6 +520,12 @@ def verify(
     operand, so full_spec is evaluated only on example inputs and the spec
     alone elsewhere, with the same verdict on every point."""
     check_bounds(ProblemError, int_bound=int_bound, list_bound=list_bound, max_points=max_points)
+    try:
+        t_type = type_of(t, problem.scope)
+    except LangError as err:
+        raise ProblemError(f"candidate: {err}") from err
+    if t_type != problem.output_type or not is_complete(t):
+        raise ProblemError(f"candidate is not a complete {type_str(problem.output_type)} expression")
     total = math.prod(domain_size(ty, int_bound, list_bound) for _, ty in problem.inputs)
     if total > max_points:
         return VerifyResult(
@@ -575,9 +591,6 @@ def cegis(
     g: Pcfg,
     mode: PriorityMode | None = None,
     *,
-    prune: bool = True,
-    indist: bool = True,
-    dedup: bool = True,
     max_dequeues: int = DEFAULT_SEARCH_DEQUEUES,
     timeout_s: float | None = DEFAULT_SEARCH_SECONDS,
     int_bound: int = DEFAULT_INT_BOUND,
@@ -591,9 +604,11 @@ def cegis(
     counterexample, until a candidate verifies or a phase gives up. The point
     set starts from the examples' input valuations plus seed_points (extra
     valuations the caller already knows matter, e.g. failing tests; they must
-    satisfy pc, or they constrain nothing). Each iteration adds a point no
-    previous candidate failed, so the loop is finite over the bounded
-    verification domain; max_iterations is a safety stop."""
+    bind exactly the inputs, and satisfy pc or constrain nothing). Each
+    search builds its hooks once the set has a point (see search). Each
+    iteration adds a point no previous candidate failed, so the loop is
+    finite over the bounded verification domain; max_iterations is a safety
+    stop."""
     check_bounds(
         ProblemError, int_bound=int_bound, list_bound=list_bound, max_points=max_points,
         max_dequeues=max_dequeues, timeout_s=timeout_s, max_iterations=max_iterations,
@@ -614,16 +629,7 @@ def cegis(
     for _ in range(max_iterations):
         stats.iterations += 1
         sr = search(
-            problem,
-            g,
-            points,
-            mode,
-            prune=prune,
-            indist=indist,
-            dedup=dedup,
-            max_dequeues=max_dequeues,
-            timeout_s=timeout_s,
-            trace=trace,
+            problem, g, points, mode, max_dequeues=max_dequeues, timeout_s=timeout_s, trace=trace
         )
         stats.add_enum(sr.stats)
         if sr.expr is None:

@@ -20,6 +20,8 @@ Expansion reads the leftmost hole off the tree, descending from the root
 through the first incomplete child at each node, and splices a child's
 derivation key from its parent's as text, finding that hole as the key's
 first "(?": keys print holes in preorder, and nothing else prints that pair.
+It reads one record per rule (Pcfg.expansions) and passes the spliced key
+to the one PartialProduction constructor, which prints a key given none.
 """
 
 from __future__ import annotations
@@ -55,9 +57,11 @@ class PartialProduction:
     over remaining holes (0 iff complete), hole_nts the hole nonterminals in
     leftmost-first order, and score the count of input points the expression
     already definitely satisfies. derivation_key is the canonical print of
-    the expression (holes shown with their nonterminals); hole_paths gives
-    each hole's path in the tree, read off the tree on each call (the search
-    never reads it). `spine` is set by expansion: the path the rewriter
+    the expression (holes shown with their nonterminals): expansion passes
+    the key it spliced from the parent's, and every other caller leaves it
+    None to have it printed. hole_paths gives each hole's path in the tree,
+    read off the tree on each call (the search never reads it). `spine`,
+    passed by expansion and kept by the rewriter, is the path the rewriter
     descends (see IndistRewriter) and whether the node at its end is
     complete; None means no path is recorded and the rewriter walks the
     whole tree."""
@@ -81,6 +85,8 @@ class PartialProduction:
         hole_nts: tuple[Nonterminal, ...],
         hole_h: tuple[float, ...] = (),  # horizon of each hole, parallel to hole_nts
         score: int = 0,
+        derivation_key: str | None = None,
+        spine: tuple[tuple[int, ...], bool] | None = None,
     ):
         self.expr = expr
         self.cost = cost
@@ -88,22 +94,8 @@ class PartialProduction:
         self.hole_nts = hole_nts
         self.hole_h = hole_h
         self.score = score
-        self.derivation_key = to_sexpr(expr)
-        self.spine = None
-
-    @classmethod
-    def _expanded(cls, expr, cost, hole_nts, hole_h, key, spine):
-        """A child of expansion, whose key expansion has already spliced."""
-        pp = cls.__new__(cls)
-        pp.expr = expr
-        pp.cost = cost
-        pp.horizon_sum = sum(hole_h, 0.0)
-        pp.hole_nts = hole_nts
-        pp.hole_h = hole_h
-        pp.score = 0
-        pp.derivation_key = key
-        pp.spine = spine
-        return pp
+        self.derivation_key = to_sexpr(expr) if derivation_key is None else derivation_key
+        self.spine = spine
 
     @property
     def hole_paths(self) -> tuple[tuple[int, ...], ...]:
@@ -176,7 +168,6 @@ def expand(pp: PartialProduction, g: Pcfg) -> list[PartialProduction]:
     from it), or the root when no hole is left."""
     if pp.complete:
         raise ValueError("cannot expand a complete production")
-    rule_exp = g.rule_expansions()
     nt = pp.hole_nts[0]
     rest_nts = pp.hole_nts[1:]
     rest_h = pp.hole_h[1:]
@@ -207,22 +198,15 @@ def expand(pp: PartialProduction, g: Pcfg) -> list[PartialProduction]:
     spine_kept = (at_path, False)
     spine_done = (at_path[:split], True)
     out = []
-    for r in g.rules_for(nt):
-        child_h, text = rule_exp[r.id]
-        new = r.template
+    for new, cost, child_nts, child_h, text in g.expansions(nt):
         for parent, i, kids in reversed(lineage):
             # every spine node's constructor takes exactly its children
             new = type(parent)(*kids[:i], new, *kids[i + 1 :])
-        out.append(
-            PartialProduction._expanded(
-                new,
-                pp.cost + g.cost[r.id],
-                r.child_nts + rest_nts,
-                child_h + rest_h,
-                head + text + tail,
-                spine_kept if r.child_nts else spine_done,
-            )
-        )
+        hole_h = child_h + rest_h
+        out.append(PartialProduction(
+            new, pp.cost + cost, sum(hole_h, 0.0), child_nts + rest_nts, hole_h, 0,
+            head + text + tail, spine_kept if child_nts else spine_done,
+        ))
     return out
 
 
@@ -346,10 +330,10 @@ class IndistRewriter:
             new = self._spine(pp.expr, *pp.spine, represent)
             if new is None:
                 return pp
-        # the key is stale for the rewritten tree; reprint it
-        out = PartialProduction(new, pp.cost, pp.horizon_sum, pp.hole_nts, pp.hole_h, pp.score)
-        out.spine = pp.spine
-        return out
+        # the key is stale for the rewritten tree; leave it to be reprinted
+        return PartialProduction(
+            new, pp.cost, pp.horizon_sum, pp.hole_nts, pp.hole_h, pp.score, spine=pp.spine
+        )
 
     def rewrite_full(self, pp: PartialProduction) -> PartialProduction:
         return self._rewrite(pp, self._represent)

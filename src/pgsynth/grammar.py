@@ -80,7 +80,7 @@ class Pcfg:
     prob: dict[str, float]
     cost: dict[str, float]
     _horizons: dict[Nonterminal, float] | None = field(default=None, repr=False)
-    _rule_exp: dict[str, tuple] | None = field(default=None, repr=False)
+    _expansions: dict[Nonterminal, tuple] | None = field(default=None, repr=False)
 
     def all_rules(self):
         for group in self.rules.values():
@@ -100,17 +100,23 @@ class Pcfg:
             self._horizons = horizons(self)
         return self._horizons
 
-    def rule_expansions(self) -> dict[str, tuple]:
-        """Per rule, what expansion splices in for it: the horizon of each
-        child nonterminal, in hole order, and the template's printed form.
-        Lets expansion splice derivation keys as strings instead of
-        reprinting whole trees."""
-        if self._rule_exp is None:
+    def expansions(self, nt: Nonterminal) -> tuple[tuple, ...]:
+        """What expansion splices in for each rule of nt, in rules_for
+        order: (template, cost, child nonterminals, the horizon of each
+        child, the template's printed form). The printed form lets
+        expansion splice derivation keys as strings instead of reprinting
+        whole trees. Built for every nonterminal on the first call."""
+        if self._expansions is None:
             h = self.horizon()
-            self._rule_exp = {
-                r.id: (tuple(h[c] for c in r.child_nts), to_sexpr(r.template)) for r in self.all_rules()
+            self._expansions = {
+                lhs: tuple(
+                    (r.template, self.cost[r.id], r.child_nts,
+                     tuple(h[c] for c in r.child_nts), to_sexpr(r.template))
+                    for r in group
+                )
+                for lhs, group in self.rules.items()
             }
-        return self._rule_exp
+        return self._expansions.get(nt, ())
 
 
 def _rule_groups(rules) -> dict[Nonterminal, list[ProductionRule]]:

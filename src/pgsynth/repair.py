@@ -34,9 +34,9 @@ from .cegis import (
     bounded_points,
     cegis,
     check_bounds,
+    check_point,
     conjoin,
     domain_size,
-    value_fits,
 )
 from .corpus import (
     RESULT_NAME,
@@ -46,7 +46,6 @@ from .corpus import (
     load_program,
     replace_function,
 )
-from .enumerate import PriorityMode
 from .grammar import GrammarError, normalize
 from .grammarfile import (
     DEFAULT_GRAMMAR_TEXT,
@@ -76,7 +75,6 @@ from .lang import (
     subst_var,
     to_sexpr,
     type_of,
-    type_str,
     value_str,
 )
 from .sexpr import SexprError, Symbol
@@ -149,15 +147,7 @@ def _parse_test(form, fn: FunctionDef) -> tuple[tuple[str, Value], ...]:
         if name in bindings:
             raise RepairError(f"test binds {name} twice")
         bindings[name] = value
-    scope = fn.scope
-    if set(bindings) != set(scope):
-        raise RepairError(
-            f"test must bind exactly the parameters of {fn.name}: "
-            f"{', '.join(n for n, _ in fn.params) or '(none)'}"
-        )
-    for name, value in bindings.items():
-        if not value_fits(value, scope[name]):
-            raise RepairError(f"test value for {name} does not fit {type_str(scope[name])}")
+    check_point(RepairError, bindings, fn.params, "test", f"the parameters of {fn.name}")
     return tuple((n, bindings[n]) for n, _ in fn.params)
 
 
@@ -201,7 +191,8 @@ def generate_tests(
 ) -> TestSuite:
     """Bounded-exhaustive inputs satisfying the precondition, classified
     into passing and failing by evaluating the body against the
-    postcondition. User tests come first and must satisfy the precondition."""
+    postcondition. User tests come first; each must bind exactly the
+    parameters, with values of their types, and satisfy the precondition."""
     if fn.ensures is None:
         raise RepairError(f"def {fn.name} has no (ensures ...) contract")
     check_bounds(RepairError, int_bound=int_bound, list_bound=list_bound, max_points=max_points)
@@ -214,7 +205,7 @@ def generate_tests(
     points: list[Point] = []
     user_keys: set[frozenset] = set()
     for raw in user_tests:
-        env = dict(raw)
+        env = check_point(RepairError, raw, fn.params, "user test", f"the parameters of {fn.name}")
         if pre is not None and pre(env) != TRUE_V:
             raise RepairError(
                 f"user test {sexpr.write([[n, _value_form(v)] for n, v in env.items()])} "
@@ -349,7 +340,6 @@ def _builtin_base() -> GrammarFile:
 def repair(
     task: RepairTask,
     base: GrammarFile | None = None,
-    mode: PriorityMode | None = None,
     *,
     use_similar: bool = True,
     int_bound: int = DEFAULT_INT_BOUND,
@@ -409,7 +399,7 @@ def repair(
             try:
                 g = normalize(desugar(gf, problem.scope, seed_types=(problem.output_type,)))
                 res = cegis(
-                    problem, g, mode,
+                    problem, g,
                     int_bound=int_bound, list_bound=list_bound, max_points=max_points,
                     max_dequeues=max_dequeues, timeout_s=timeout_s,
                     seed_points=seeds, trace=trace,

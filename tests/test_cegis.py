@@ -473,6 +473,14 @@ def test_verify_erroring_candidate():
     assert vr.point == (("a", IntV(0)),)
 
 
+@pytest.mark.parametrize("candidate", ["true", "(nil Int)", "(? Int)", "b"])
+def test_verify_rejects_candidate_of_wrong_type(candidate):
+    # (<= x 5) holds for x = true in Python, so a scan would certify it
+    p = parse_problem("(problem (inputs (a Int)) (output x Int) (spec (<= x 5)))")
+    with pytest.raises(ProblemError, match="candidate"):
+        verify(p, parse_expr(candidate))
+
+
 def test_verify_budget_unknown():
     vr = verify(COND_PROBLEM, Var("a"), max_points=10)
     assert vr.status == "unknown"
@@ -585,21 +593,6 @@ def test_search_on_three_points_finds_conditional():
         assert oracle_eval_expr(COND_PROBLEM.spec, {**env, "x": out}) is True
 
 
-def test_search_without_optimizations_still_filters():
-    pts = [{"a": IntV(3)}]
-    sr = search(
-        COND_PROBLEM,
-        COND_GRAMMAR,
-        pts,
-        DIJKSTRA,
-        prune=False,
-        indist=False,
-        dedup=False,
-        timeout_s=None,
-    )
-    assert satisfied_count(COND_PROBLEM, sr.expr, pts) == 1
-
-
 def test_search_budget_exhaustion():
     sr = search(COND_PROBLEM, COND_GRAMMAR, POINTS_257, max_dequeues=3)
     assert sr.expr is None and sr.budget_hit and not sr.exhausted
@@ -627,6 +620,29 @@ def test_search_requires_start_nonterminal():
     g = gram("production 10 [] vInt () -> Int (variable Int)", {"a": INT})
     with pytest.raises(GrammarError):
         search(p, g, [])
+
+
+INC_PROBLEM = parse_problem("(problem (inputs (a Int)) (output x Int) (spec (= x (+ a 1))))")
+
+
+@pytest.mark.parametrize(
+    "point, fragment",
+    [
+        ({"a": 5}, "does not fit Int"),
+        ({"a": BoolV(True)}, "does not fit Int"),
+        ({"zz": IntV(1)}, "must bind exactly the input names: a"),
+        ({"a": IntV(1), "zz": IntV(1)}, "must bind exactly"),
+        ({}, "must bind exactly"),
+    ],
+)
+@pytest.mark.parametrize("entry", ["search", "cegis"])
+def test_points_must_bind_exactly_the_inputs(entry, point, fragment):
+    g = gram(DEFAULT_GRAMMAR_TEXT, INC_PROBLEM.scope)
+    with pytest.raises(ProblemError, match=fragment):
+        if entry == "search":
+            search(INC_PROBLEM, g, [point], timeout_s=None)
+        else:
+            cegis(INC_PROBLEM, g, seed_points=[point], timeout_s=None)
 
 
 def test_search_deterministic():

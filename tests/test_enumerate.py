@@ -15,6 +15,7 @@ from grammars import (
     random_finite_pcfg,
     random_recursive_pcfg,
     two_sort_grammar,
+    weight_table_rules,
 )
 from oracle import derivations, replace_leftmost_hole
 from pgsynth.enumerate import (
@@ -29,7 +30,7 @@ from pgsynth.enumerate import (
     parse_mode,
     root_pp,
 )
-from pgsynth.grammar import normalize
+from pgsynth.grammar import normalize, split_variable_rules
 from pgsynth.grammarfile import DEFAULT_GRAMMAR_TEXT, desugar, parse_grammar_file
 from pgsynth.lang import (
     FALSE_V,
@@ -613,3 +614,39 @@ def test_random_walk_invariants():
         assert pp.hole_paths == fresh.hole_paths
         for nt, path in zip(pp.hole_nts, pp.hole_paths):
             assert get_at(pp.expr, path) == Hole(nt)
+
+
+def _bookkeeping_grammars():
+    yield "two_sort", two_sort_grammar(), INT_NT
+    yield "mixed", mixed_template_grammar(), INT_NT
+    yield "weight_table", normalize(split_variable_rules(weight_table_rules(), {"x": INT})), INT_NT
+    for seed in range(4):
+        yield f"finite{seed}", random_finite_pcfg(random.Random(seed)), Nonterminal(INT, "F0")
+        yield f"recursive{seed}", random_recursive_pcfg(random.Random(seed)), Nonterminal(INT, "R0")
+
+
+def test_expand_children_carry_exact_bookkeeping():
+    """Every child of expand, along seeded random walks, carries exactly the
+    bookkeeping a fresh computation gives: the float sums compare with ==,
+    since priorities tie-break on them."""
+    checked = 0
+    for name, g, start in _bookkeeping_grammars():
+        h = g.horizon()
+        rng = random.Random(name)
+        pp = root_pp(g, start)
+        for _ in range(200):
+            if pp.complete:
+                pp = root_pp(g, start)
+            kids = expand(pp, g)
+            rules = g.rules_for(pp.hole_nts[0])
+            assert len(kids) == len(rules)
+            for r, child in zip(rules, kids):
+                assert child.cost == pp.cost + g.cost[r.id], name
+                assert child.hole_nts == tuple(holes(child.expr)), name
+                assert child.hole_h == tuple(h[n] for n in child.hole_nts), name
+                assert child.horizon_sum == sum(child.hole_h, 0.0), name
+                assert child.score == 0, name
+                assert child.derivation_key == to_sexpr(child.expr), name
+                checked += 1
+            pp = rng.choice(kids)
+    assert checked > 5000

@@ -23,6 +23,7 @@ from pgsynth.lang import (
     ListType,
     Nonterminal,
     TRUE_V,
+    BoolV,
     IntV,
     iter_subexprs,
     parse_expr,
@@ -262,6 +263,28 @@ def test_generate_tests_user_test_must_satisfy_precondition():
     ).find("f")
     with pytest.raises(RepairError, match="violates the precondition"):
         generate_tests(fn, [{"a": IntV(-1)}], int_bound=4)
+
+
+@pytest.mark.parametrize(
+    "point, fragment",
+    [
+        ({"a": 5}, "does not fit Int"),
+        # (<= 0 a) would run as Python's 0 <= True
+        ({"a": BoolV(True)}, "does not fit Int"),
+        ({"zz": IntV(1)}, "must bind exactly the parameters of f: a"),
+        ({"a": IntV(1), "zz": IntV(1)}, "must bind exactly"),
+    ],
+)
+@pytest.mark.parametrize("entry", ["generate_tests", "repair"])
+def test_user_tests_must_bind_exactly_the_parameters(entry, point, fragment):
+    prog = parse_program(
+        "(def f ((a Int)) -> Int (requires (<= 0 a)) (ensures (= result (+ a 1))) a)"
+    )
+    with pytest.raises(RepairError, match=fragment):
+        if entry == "generate_tests":
+            generate_tests(prog.find("f"), [point], int_bound=4)
+        else:
+            repair(RepairTask(prog, "f", (tuple(point.items()),)), int_bound=4)
 
 
 def test_generate_tests_requires_contract():
