@@ -95,10 +95,14 @@ def check_bounds(error: type[LangError], **bounds: float | None) -> None:
 
 def check_point(error: type[LangError], point, params, what: str, whose: str) -> dict[str, Value]:
     """point as a fresh dict. Raise error, naming the point as what, when it
-    does not bind exactly the names of params, (name, type) pairs listed as
-    whose, or when a value does not fit its name's type."""
-    env = dict(point)
-    if env.keys() != {n for n, _ in params}:
+    is not a mapping (or pairs) that binds exactly the names of params,
+    (name, type) pairs listed as whose, or when a value does not fit its
+    name's type."""
+    try:
+        env = dict(point)
+    except (TypeError, ValueError):
+        env = None
+    if env is None or env.keys() != {n for n, _ in params}:
         raise error(
             f"{what} must bind exactly {whose}: {', '.join(n for n, _ in params) or '(none)'}"
         )
@@ -366,10 +370,12 @@ def search(
 ) -> SearchResult:
     """Return the first enumerated complete t satisfying the implication on
     every point, or not-found when the budget ends the stream first. Each
-    point binds exactly the inputs, with values of their types. With points
-    it builds the prune hook and the rewriter, and in astar-score mode the
-    score hook, all over one list of the points and one memo; with none the
-    conjunction is vacuous and the first emission wins."""
+    point binds exactly the inputs, with values of their types, and neither
+    budget is negative or NaN. With points it builds the prune hook and the
+    rewriter, and in astar-score mode the score hook, all over one list of
+    the points and one memo; with none the conjunction is vacuous and the
+    first emission wins."""
+    check_bounds(ProblemError, max_dequeues=max_dequeues, timeout_s=timeout_s)
     mode = mode if mode is not None else astar_score()
     points = [check_point(ProblemError, a, problem.inputs, "point", "the input names") for a in points]
     memo = [{} for _ in points]  # shared by every point check of this search
@@ -617,7 +623,7 @@ def cegis(
     stats = RunStats()
     points: list[Point] = [ex.env() for ex in problem.examples]
     for seed in seed_points:
-        seed = dict(seed)
+        seed = check_point(ProblemError, seed, problem.inputs, "seed point", "the input names")
         if seed not in points:
             points.append(seed)
 

@@ -7,10 +7,9 @@ derivation, the space is a tree and no reached-set bookkeeping is needed.
 Priorities: Dijkstra orders by cost alone (-log probability of the rules used
 so far), A* adds the horizon (minimum cost still to be paid for the remaining
 holes), and the score mode subtracts a bonus for partial productions already
-known to satisfy input points. On top of the plain search sit three optional
-devices: a pruning hook consulted at every dequeue, a two-stage
-indistinguishability rewriter, and queue-level deduplication by derivation
-key.
+known to satisfy input points. Optional: a pruning hook consulted at every
+dequeue, and a two-stage indistinguishability rewriter. The rewriter can
+map two productions to one, so the queue drops every key pushed before.
 
 Expansion pays for the spine, not the tree. A child differs from its parent
 only on the path from the filled hole to the root; the parent was rewritten
@@ -27,7 +26,6 @@ to the one PartialProduction constructor, which prints a key given none.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -212,32 +210,30 @@ def expand(pp: PartialProduction, g: Pcfg) -> list[PartialProduction]:
 
 class DedupQueue:
     """Min-priority queue keyed on (priority, derivation_key); a production
-    whose derivation key was ever pushed before is silently dropped."""
+    whose derivation key was ever pushed before is dropped, so ties never
+    reach the productions."""
 
-    def __init__(self, priority: Callable[[PartialProduction], float], dedup: bool = True):
+    def __init__(self, priority: Callable[[PartialProduction], float]):
         self._priority = priority
-        self._dedup = dedup
-        self._heap: list[tuple[float, str, int, PartialProduction]] = []
+        self._heap: list[tuple[float, str, PartialProduction]] = []
         self._seen: set[str] = set()
-        self._seq = itertools.count()
 
     def push(self, pp: PartialProduction) -> bool:
         key = pp.derivation_key
-        if self._dedup:
-            if key in self._seen:
-                return False
-            self._seen.add(key)
-        heapq.heappush(self._heap, (self._priority(pp), key, next(self._seq), pp))
+        if key in self._seen:
+            return False
+        self._seen.add(key)
+        heapq.heappush(self._heap, (self._priority(pp), key, pp))
         return True
 
     def is_dup(self, pp: PartialProduction) -> bool:
-        return self._dedup and pp.derivation_key in self._seen
+        return pp.derivation_key in self._seen
 
     def pop_min(self) -> PartialProduction:
-        return heapq.heappop(self._heap)[3]
+        return heapq.heappop(self._heap)[2]
 
     def pps(self) -> Iterator[PartialProduction]:
-        for _, _, _, pp in self._heap:
+        for _, _, pp in self._heap:
             yield pp
 
     def __len__(self) -> int:
@@ -364,9 +360,9 @@ class Enumerator:
     consulted on every dequeue (complete productions failing it are discarded
     rather than emitted); the score hook assigns each pushed production its
     satisfied-point count; the rewriter, when given, canonicalizes
-    indistinguishable subexpressions. Ends either by exhausting a finite
-    grammar (`exhausted`) or by hitting the dequeue/deadline budget
-    (`budget_hit`).
+    indistinguishable subexpressions, and a child whose key was pushed before
+    is dropped (`dup_dropped`). Ends either by exhausting a finite grammar
+    (`exhausted`) or by hitting the dequeue/deadline budget (`budget_hit`).
     """
 
     def __init__(
@@ -380,7 +376,6 @@ class Enumerator:
         rewriter: IndistRewriter | None = None,
         max_dequeues: int = DEFAULT_MAX_DEQUEUES,
         deadline: float | None = None,
-        dedup: bool = True,
         trace: Callable[[str], None] | None = None,
     ):
         self.g = g
@@ -394,7 +389,7 @@ class Enumerator:
         self.stats = EnumStats()
         self.exhausted = False
         self.budget_hit = False
-        self.queue = DedupQueue(mode.priority, dedup=dedup)
+        self.queue = DedupQueue(mode.priority)
         self.queue.push(self._scored(root_pp(g, start)))
 
     def _scored(self, pp: PartialProduction) -> PartialProduction:

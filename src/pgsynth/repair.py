@@ -365,7 +365,7 @@ def repair(
     fn = task.program.find(task.function)
     if fn is None:
         raise RepairError(f"function {task.function} not found")
-    suite = generate_tests(fn, task.test_envs(), int_bound, list_bound, max_points)
+    suite = generate_tests(fn, task.tests, int_bound, list_bound, max_points)
     attempts: list[RepairAttempt] = []
 
     def finish(success, program, location, replacement, reason):

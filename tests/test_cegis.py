@@ -633,6 +633,10 @@ INC_PROBLEM = parse_problem("(problem (inputs (a Int)) (output x Int) (spec (= x
         ({"zz": IntV(1)}, "must bind exactly the input names: a"),
         ({"a": IntV(1), "zz": IntV(1)}, "must bind exactly"),
         ({}, "must bind exactly"),
+        # not a mapping, nor pairs: dict() raises TypeError or ValueError
+        (5, "must bind exactly the input names: a"),
+        (None, "must bind exactly the input names: a"),
+        ("ab", "must bind exactly the input names: a"),
     ],
 )
 @pytest.mark.parametrize("entry", ["search", "cegis"])
@@ -643,6 +647,24 @@ def test_points_must_bind_exactly_the_inputs(entry, point, fragment):
             search(INC_PROBLEM, g, [point], timeout_s=None)
         else:
             cegis(INC_PROBLEM, g, seed_points=[point], timeout_s=None)
+
+
+@pytest.mark.parametrize("point", [{"a": 5}, {"zz": IntV(1)}, 5])
+def test_cegis_checks_seed_points_before_any_search(point):
+    # with no iteration, no search would see the seed
+    g = gram(DEFAULT_GRAMMAR_TEXT, INC_PROBLEM.scope)
+    with pytest.raises(ProblemError, match="seed point"):
+        cegis(INC_PROBLEM, g, seed_points=[point], max_iterations=0)
+
+
+@pytest.mark.parametrize("bound", ["max_dequeues", "timeout_s"])
+@pytest.mark.parametrize("value", [-1, float("nan")])
+def test_search_rejects_negative_and_nan_budgets(bound, value):
+    # every comparison with NaN is false, so a NaN budget would never end the
+    # search; a negative one would read as exhausted after 0 dequeues
+    g = gram(DEFAULT_GRAMMAR_TEXT, INC_PROBLEM.scope)
+    with pytest.raises(ProblemError, match=f"{bound} must be at least 0, got {value}"):
+        search(INC_PROBLEM, g, [{"a": IntV(1)}], **{bound: value})
 
 
 def test_search_deterministic():

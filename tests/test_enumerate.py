@@ -247,12 +247,12 @@ def test_horizon_consistency_inequality():
 
 
 # ---------------------------------------------------------------------------
-# probability mass invariant (no pruning, no dedup)
+# probability mass invariant (no pruning, no rewriter)
 
 
 def test_probability_mass_conserved_stepwise():
     g = two_sort_grammar()
-    queue = DedupQueue(ASTAR.priority, dedup=False)
+    queue = DedupQueue(ASTAR.priority)
     queue.push(root_pp(g, INT_NT))
     emitted_mass = 0.0
     for _ in range(1000):
@@ -268,7 +268,7 @@ def test_probability_mass_conserved_stepwise():
 
 def test_probability_mass_conserved_through_enumerator():
     g = two_sort_grammar()
-    en = Enumerator(g, INT_NT, ASTAR, dedup=False)
+    en = Enumerator(g, INT_NT, ASTAR)
     emitted_mass = 0.0
     for pp in itertools.islice(iter(en), 200):
         emitted_mass += pp.probability

@@ -5,6 +5,7 @@ import pytest
 
 from pgsynth.grammar import (
     GrammarError,
+    Pcfg,
     ProductionRule,
     apply_axioms,
     discover_types,
@@ -35,7 +36,17 @@ from pgsynth.lang import (
     evaluate,
     type_of,
 )
-from grammars import BOOL_NT, INT_NT, R, tags, two_sort_grammar, weight_table_rules
+from grammars import (
+    BOOL_NT,
+    INT_NT,
+    R,
+    mixed_template_grammar,
+    random_finite_pcfg,
+    random_recursive_pcfg,
+    tags,
+    two_sort_grammar,
+    weight_table_rules,
+)
 from oracle import derivations, exprs_by_depth, min_cost_by_depth
 
 
@@ -337,6 +348,43 @@ def test_horizons_match_bounded_brute_force():
             brute = min_cost_by_depth(g, nt, 4)
             assert brute is not None
             assert h[nt] == pytest.approx(brute, abs=1e-9)
+
+
+def test_horizons_exact_where_a_tolerance_stops_early():
+    # O -> P -> Q -> R -> S by unit rules at cost 0; S ends at cost 1, and P
+    # also at 1 + 1e-13. A fixpoint that stops once no value moves by more
+    # than 1e-12 settles on h(O) = 1 + 1e-13, above the true least cost
+    o, p, q, r, s = (Nonterminal(INT, a) for a in "OPQRS")
+    rules = {
+        o: (R("o", o, Hole(p), 1),),
+        p: (R("p", p, Hole(q), 1), R("pt", p, IntLit(2), 1)),
+        q: (R("q", q, Hole(r), 1),),
+        r: (R("r", r, Hole(s), 1),),
+        s: (R("st", s, IntLit(1), 1),),
+    }
+    cost = {"o": 0.0, "p": 0.0, "pt": 1 + 1e-13, "q": 0.0, "r": 0.0, "st": 1.0}
+    g = Pcfg(rules, {k: math.exp(-c) for k, c in cost.items()}, cost)
+    assert horizons(g) == {o: 1.0, p: 1.0, q: 1.0, r: 1.0, s: 1.0}
+
+
+def _shared_grammars():
+    yield two_sort_grammar()
+    yield mixed_template_grammar()
+    yield normalize(split_variable_rules(weight_table_rules(), {"x": INT, "y": INT}))
+    yield apply_axioms(two_sort_grammar())
+    for seed in range(30):
+        yield random_finite_pcfg(random.Random(seed))
+        yield random_recursive_pcfg(random.Random(seed), n_nts=4)
+
+
+def test_horizons_satisfy_the_bellman_equation_exactly():
+    # each horizon is its cheapest rule's cost plus its children's horizons,
+    # summed in that order, with no tolerance
+    for g in _shared_grammars():
+        h = horizons(g)
+        assert h.keys() == g.rules.keys()
+        for nt, rules in g.rules.items():
+            assert h[nt] == min(sum(map(h.get, r.child_nts), g.cost[r.id]) for r in rules)
 
 
 def test_horizons_cached_on_pcfg():

@@ -287,6 +287,19 @@ def test_user_tests_must_bind_exactly_the_parameters(entry, point, fragment):
             repair(RepairTask(prog, "f", (tuple(point.items()),)), int_bound=4)
 
 
+@pytest.mark.parametrize("test", [5, None, "ab", (("a",),)])
+@pytest.mark.parametrize("entry", ["generate_tests", "repair"])
+def test_user_test_that_is_not_pairs_is_rejected(entry, test):
+    prog = parse_program(
+        "(def f ((a Int)) -> Int (requires (<= 0 a)) (ensures (= result (+ a 1))) a)"
+    )
+    with pytest.raises(RepairError, match="must bind exactly the parameters of f: a"):
+        if entry == "generate_tests":
+            generate_tests(prog.find("f"), [test], int_bound=4)
+        else:
+            repair(RepairTask(prog, "f", (test,)), int_bound=4)
+
+
 def test_generate_tests_requires_contract():
     fn = parse_program("(def f ((a Int)) -> Int a)").find("f")
     with pytest.raises(RepairError, match="no \\(ensures"):
