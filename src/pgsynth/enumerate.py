@@ -2,14 +2,16 @@
 
 A partial production is an expression whose remaining choice points are Hole
 nodes tagged with their nonterminals. Expansion replaces the leftmost hole
-with every rule of its nonterminal; because each expression has exactly one
-derivation, the space is a tree and no reached-set bookkeeping is needed.
+with every rule of its nonterminal. An expression may have more than one
+derivation: a similar-term grammar's `sim*` production rederives a subtree
+that the base rules also derive, and the rewriter can map two productions to
+one. So the queue keys each production on its printed expression and keeps
+the first-pushed derivation of a key, which need not be the cheaper one.
 Priorities: Dijkstra orders by cost alone (-log probability of the rules used
 so far), A* adds the horizon (minimum cost still to be paid for the remaining
 holes), and the score mode subtracts a bonus for partial productions already
 known to satisfy input points. Optional: a pruning hook consulted at every
-dequeue, and a two-stage indistinguishability rewriter. The rewriter can
-map two productions to one, so the queue drops every key pushed before.
+dequeue, and a two-stage indistinguishability rewriter.
 
 Expansion pays for the spine, not the tree. A child differs from its parent
 only on the path from the filled hole to the root; the parent was rewritten
@@ -39,7 +41,6 @@ from .lang import (
     Value,
     children,
     compile_expr,
-    hole_paths,
     hole_print,
     is_complete,
     rebuild,
@@ -57,12 +58,10 @@ class PartialProduction:
     already definitely satisfies. derivation_key is the canonical print of
     the expression (holes shown with their nonterminals): expansion passes
     the key it spliced from the parent's, and every other caller leaves it
-    None to have it printed. hole_paths gives each hole's path in the tree,
-    read off the tree on each call (the search never reads it). `spine`,
-    passed by expansion and kept by the rewriter, is the path the rewriter
-    descends (see IndistRewriter) and whether the node at its end is
-    complete; None means no path is recorded and the rewriter walks the
-    whole tree."""
+    None to have it printed. `spine`, passed by expansion and kept by the
+    rewriter, is the path the rewriter descends (see IndistRewriter) and
+    whether the node at its end is complete; None means no path is recorded
+    and the rewriter walks the whole tree."""
 
     __slots__ = (
         "expr",
@@ -94,10 +93,6 @@ class PartialProduction:
         self.score = score
         self.derivation_key = to_sexpr(expr) if derivation_key is None else derivation_key
         self.spine = spine
-
-    @property
-    def hole_paths(self) -> tuple[tuple[int, ...], ...]:
-        return hole_paths(self.expr)
 
     @property
     def complete(self) -> bool:
@@ -356,7 +351,9 @@ class Enumerator:
     """Single-use iterator over the complete productions of a nonterminal.
 
     With mode Dijkstra or A* and no hooks, the stream contains every
-    production of `start` with nonincreasing probability. The prune hook is
+    production of `start` with nonincreasing probability, once per
+    expression: of an expression's derivations, it keeps the first pushed,
+    which need not be the most probable. The prune hook is
     consulted on every dequeue (complete productions failing it are discarded
     rather than emitted); the score hook assigns each pushed production its
     satisfied-point count; the rewriter, when given, canonicalizes

@@ -14,10 +14,8 @@ is reified as the value ErrV and propagates through strict operators.
 Evaluation compiles once and runs many times: `compile_expr` turns an
 expression into a closure from environments to values, and a scan over many
 points (verification, test generation, indistinguishability signatures) runs
-one closure on every point. `evaluate(e, env)` is compile-and-run, and
-`eval_trace` runs the same closures with a hook that records each node
-reached. Expressions and values are immutable slotted nodes that cache their
-hash.
+one closure on every point. `evaluate(e, env)` is compile-and-run.
+Expressions and values are immutable slotted nodes that cache their hash.
 
 The same closures evaluate expressions that still contain holes:
 `compile_partial` differs from `compile_expr` only in compiling each hole to
@@ -705,16 +703,11 @@ def _compiler(hole: Callable[[Env], Value]) -> Callable[[Expr], Callable[[Env], 
     return compile
 
 
-def eval_trace(e: Expr, env: Env) -> tuple[Value, set[tuple[int, ...]]]:
-    """Like evaluate, but also returns the path of every subexpression that
-    actually ran (untaken if-branches and short-circuited and-operands are
-    skipped)."""
-    return compile_trace(e)(env)
-
-
 def compile_trace(e: Expr) -> Callable[[Env], tuple[Value, set[tuple[int, ...]]]]:
-    """eval_trace compiled once for many environments: compile_expr's
-    closures, each behind a hook that records its node's path."""
+    """Like compile_expr, but the closure also returns the path of every
+    subexpression that actually ran (untaken if-branches and short-circuited
+    and-operands are skipped): compile_expr's closures, each behind a hook
+    that records its node's path."""
     visited: set[tuple[int, ...]] = set()
     run = _compile_traced(e, visited, ())
 

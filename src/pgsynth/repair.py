@@ -105,9 +105,6 @@ class RepairTask:
     function: str
     tests: tuple[tuple[tuple[str, Value], ...], ...] = ()
 
-    def test_envs(self) -> list[Point]:
-        return [dict(t) for t in self.tests]
-
 
 # ---------------------------------------------------------------------------
 # Task files
@@ -163,11 +160,6 @@ def load_task(path) -> RepairTask:
 class TestSuite:
     points: tuple[Point, ...]  # user tests first, then generated, all pre-satisfying
     failing: tuple[Point, ...]
-
-    @property
-    def passing(self) -> tuple[Point, ...]:
-        failing = set(map(_point_key, self.failing))
-        return tuple(p for p in self.points if _point_key(p) not in failing)
 
 
 def _failing(fn: FunctionDef, points) -> tuple[Point, ...]:
@@ -305,7 +297,7 @@ def location_problem(fn: FunctionDef, path: tuple[int, ...]) -> SynthesisProblem
 @dataclass
 class RepairAttempt:
     path: tuple[int, ...]
-    grammar: str  # "similar" | "plain"
+    grammar: str  # "similar", or "plain" under use_similar=False
     result: CegisResult | None
     note: str = ""
 
@@ -350,12 +342,13 @@ def repair(
     max_locations: int | None = None,
     trace=None,
 ) -> RepairResult:
-    """Try fault locations in localization order; at each, synthesize a
-    replacement with the similar-term grammar first and the plain grammar on
-    failure, splice it in, and accept iff the result passes every test of
-    the suite. The plain grammar is the base (built-in when None) merged with a
-    local-bias extraction of the program under repair. The result's
-    wall_time covers the whole call."""
+    """Try fault locations in localization order; at each, run one search
+    for a replacement, splice it in, and accept iff the result passes every
+    test of the suite. The search uses the similar-term grammar, or the
+    plain grammar under use_similar=False. The plain grammar is the base
+    (built-in when None) merged with a local-bias extraction of the program
+    under repair; the similar-term grammar only adds to it, so its language
+    contains the plain one. The result's wall_time covers the whole call."""
     t0 = time.monotonic()
     # generate_tests checks the bounds and max_points; the search budgets are
     # checked here, so that cegis's ProblemError does not escape repair
@@ -389,37 +382,30 @@ def repair(
         problem = location_problem(fn, path)
         pc = compile_expr(problem.pc)
         seeds = [a for a in suite.failing if pc(a) == TRUE_V][:MAX_SEED_POINTS]
-        grammars = []
+        label, gf = "plain", plain
         if use_similar:
-            broken = get_at(fn.body, path)
-            grammars.append(("similar", similar_term_grammar(broken, plain, fn.scope)))
-        grammars.append(("plain", plain))
-        spliced = None
-        for label, gf in grammars:
-            try:
-                g = normalize(desugar(gf, problem.scope, seed_types=(problem.output_type,)))
-                res = cegis(
-                    problem, g,
-                    int_bound=int_bound, list_bound=list_bound, max_points=max_points,
-                    max_dequeues=max_dequeues, timeout_s=timeout_s,
-                    seed_points=seeds, trace=trace,
-                )
-            except GrammarError as err:
-                attempts.append(RepairAttempt(path, label, None, str(err)))
-                continue
-            attempts.append(RepairAttempt(path, label, res, res.reason))
-            if res.success:
-                spliced = res.expr
-                break
-        if spliced is None:
+            label, gf = "similar", similar_term_grammar(get_at(fn.body, path), plain, fn.scope)
+        try:
+            g = normalize(desugar(gf, problem.scope, seed_types=(problem.output_type,)))
+            res = cegis(
+                problem, g,
+                int_bound=int_bound, list_bound=list_bound, max_points=max_points,
+                max_dequeues=max_dequeues, timeout_s=timeout_s,
+                seed_points=seeds, trace=trace,
+            )
+        except GrammarError as err:
+            attempts.append(RepairAttempt(path, label, None, str(err)))
+            continue
+        attempts.append(RepairAttempt(path, label, res, res.reason))
+        if not res.success:
             continue
         # the candidate keeps fn's parameters and contract, so generate_tests
         # would make the suite's points for it again
-        candidate = replace(fn, body=replace_at(fn.body, path, spliced))
+        candidate = replace(fn, body=replace_at(fn.body, path, res.expr))
         if not _failing(candidate, suite.points):
             return finish(
-                True, replace_function(task.program, candidate), path, spliced,
-                f"repaired at {path or 'the body root'}: {to_sexpr(spliced)}",
+                True, replace_function(task.program, candidate), path, res.expr,
+                f"repaired at {path or 'the body root'}: {to_sexpr(res.expr)}",
             )
     return finish(
         False, task.program, None, None,

@@ -42,7 +42,7 @@ from pgsynth.lang import (
     Value,
     Var,
     compile_expr,
-    eval_trace,
+    compile_trace,
     evaluate,
     expr_size,
     get_at,
@@ -426,11 +426,11 @@ def test_replace_leftmost_hole_order():
 
 def test_eval_trace_skips_untaken_branch():
     e = parse_expr("(if (<= x 0) (- 0 x) x)")
-    v, visited = eval_trace(e, ENV)
+    v, visited = compile_trace(e)(ENV)
     assert v == IntV(2)
     assert (2,) in visited and (0,) in visited
     assert (1,) not in visited  # then-branch never ran
-    v2, visited2 = eval_trace(parse_expr("(and false (<= x 0))"), ENV)
+    v2, visited2 = compile_trace(parse_expr("(and false (<= x 0))"))(ENV)
     assert v2 == FALSE_V and (1,) not in visited2
 
 

@@ -95,7 +95,7 @@ def test_parse_task_with_tests(tmp_path):
         tmp_path,
     )
     assert task.tests == ((("a", IntV(-3)),), (("a", IntV(2)),))
-    assert task.test_envs() == [{"a": IntV(-3)}, {"a": IntV(2)}]
+    assert [dict(t) for t in task.tests] == [{"a": IntV(-3)}, {"a": IntV(2)}]
 
 
 def test_load_task_resolves_relative_to_task_file(tmp_path):
@@ -170,9 +170,11 @@ def test_parse_task_at_nesting_limit(tmp_path):
         f'(repair (program "prog.sexp") (function len) (tests ((l {cons_list(depth)}))))',
         tmp_path,
     )
-    (user,) = task.test_envs()
+    (user,) = [dict(t) for t in task.tests]
     assert user["l"] == ListV((IntV(1),) * (depth - 1))
-    suite = generate_tests(task.program.find("len"), task.test_envs(), int_bound=1, list_bound=1)
+    suite = generate_tests(
+        task.program.find("len"), [dict(t) for t in task.tests], int_bound=1, list_bound=1
+    )
     assert suite.points[0] == user and suite.failing == ()
 
 
@@ -211,7 +213,7 @@ def test_generate_tests_correct_function_has_no_failures():
     fn = parse_program(ABS_CORRECT).find("abs")
     suite = generate_tests(fn, int_bound=8, list_bound=4)
     assert suite.failing == ()
-    assert len(suite.passing) == 17
+    assert len(suite.points) - len(suite.failing) == 17
 
 
 def test_generate_tests_error_values_fail():
@@ -242,7 +244,7 @@ def test_generate_tests_dedup_ignores_binding_order():
     suite = generate_tests(fn, user, int_bound=1)
     assert suite.points[0] == user[0]
     assert len(suite.points) == 9  # the 3 x 3 grid, the user test among it
-    assert len(suite.passing) == 9
+    assert len(suite.points) - len(suite.failing) == 9
 
 
 def test_generate_tests_mutation_does_not_reach_the_domain():
@@ -683,6 +685,33 @@ def test_repair_max_locations_cuts_the_search():
     assert not res.success
     assert "tried 2 location(s)" in res.reason
     assert {a.path for a in res.attempts} == {(0, 0), (0, 1)}
+
+
+def test_repair_searches_each_location_once():
+    # the similar-term grammar contains the plain one, so a location whose
+    # similar search fails is not searched again with the plain grammar
+    res = repair(
+        RepairTask(buggy_abs(), "abs"), max_locations=2, max_dequeues=2000, timeout_s=None
+    )
+    assert not res.success
+    assert [(a.path, a.grammar) for a in res.attempts] == [
+        ((0, 0), "similar"), ((0, 1), "similar"),
+    ]
+
+
+def test_repair_clamp_inner_fault_one_search_per_location():
+    # the fault is in the inner then-branch; the guard leaves tried before
+    # it admit no fix and each spend one whole search budget
+    prog = parse_program(
+        "(def clamp ((a Int) (hi Int)) -> Int"
+        "  (ensures (= result (if (<= a 0) 0 (if (<= hi a) hi a))))"
+        "  (if (<= a 0) 0 (if (<= hi a) a a)))"
+    )
+    res = repair(RepairTask(prog, "clamp"), max_dequeues=5000, timeout_s=None)
+    assert res.success
+    assert res.location == (2, 1) and to_sexpr(res.replacement) == "hi"
+    assert len(res.attempts) == 5
+    assert all(a.grammar == "similar" for a in res.attempts)
 
 
 def test_repair_user_tests_ride_along(tmp_path):
