@@ -11,8 +11,9 @@ A corpus file holds function definitions, optionally carrying contracts:
 One extractor turns occurrence counts of expression kinds into a weighted
 grammar file. Each node of a body is read once, into its kind's sort key
 and rule; the file holds one rule per kind, with no parent context, tagged
-with the roles `grammar.apply_axioms` reads: literals `const` (and `0` for
-the integer zero), variables `top`, operators their operator tag.
+with its role: literals `const` (and `0` for the integer zero), variables
+`top`, operators their operator tag. Tags are kept in the file format and
+carried through merge and emission; the search reads none.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def _kind(e: Expr, kid_types: list[Type], scope: dict[str, Type]) -> tuple[tuple
     sub = op.bind(e, kid_types)
     t = subst_type(op.result, sub)
     ts, inst = _tslug(t), _tslug(sub[A.name]) if A.name in sub else ""
-    # the axiom vocabulary: the surface tag of a word operator (if, isEmpty,
+    # the operator tag: the surface tag of a word operator (if, isEmpty,
     # ...), else the class name in lower case (plus, minus, times, leq, eq)
     tag = op.tag if op.tag.isalpha() else cls.__name__.lower()
     params = tuple((f"v{i}", Nonterminal(subst_type(p, sub))) for i, p in enumerate(op.params))

@@ -3,10 +3,10 @@
 A grammar is a set of production rules, each mapping a nonterminal (base type
 plus optional attribute) to an expression template whose holes are the child
 slots. Weights are absolute frequencies; `normalize` turns them into per-
-nonterminal probabilities and negative-log costs. Transformation passes
-(variable instantiation, generic instantiation, the neutral-element and
-const-fold axioms) rewrite the rule set and renormalize. One exact pass,
-`least_costs`, finds the productive nonterminals and the A* horizons.
+nonterminal probabilities and negative-log costs. Two transformation passes,
+variable instantiation and generic instantiation, rewrite the rule set
+before it is normalized. One exact pass, `least_costs`, finds the
+productive nonterminals and the A* horizons.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from functools import cached_property
 from .lang import (
     Expr,
     Hole,
-    Minus,
     Nil,
     Nonterminal,
-    Plus,
     Type,
     Var,
     children,
@@ -52,7 +50,6 @@ class ProductionRule:
     lhs: Nonterminal
     template: Expr
     weight: float
-    tags: frozenset[str] = frozenset()
     type_params: tuple[str, ...] = ()
     # set on `variable` builtin rules: stands for any in-scope variable of
     # this type, split into one rule per variable before normalization
@@ -81,10 +78,6 @@ class Pcfg:
     cost: dict[str, float]
     _horizons: dict[Nonterminal, float] | None = field(default=None, repr=False)
     _expansions: dict[Nonterminal, tuple] | None = field(default=None, repr=False)
-
-    def all_rules(self):
-        for group in self.rules.values():
-            yield from group
 
     def rules_for(self, nt: Nonterminal) -> tuple[ProductionRule, ...]:
         return self.rules.get(nt, ())
@@ -307,175 +300,6 @@ def _subst_template(e: Expr, sub: dict[str, Type]) -> Expr:
     if not kids:
         return e
     return rebuild(e, tuple(_subst_template(k, sub) for k in kids))
-
-
-# ---------------------------------------------------------------------------
-# Axioms
-
-ARITH_TAGS = frozenset({"plus", "minus", "times"})
-
-
-def _attr(nt: Nonterminal, suffix: str) -> Nonterminal:
-    attr = suffix if nt.attr is None else f"{nt.attr}_{suffix}"
-    return Nonterminal(nt.base, attr)
-
-
-def apply_axioms(g: Pcfg, axioms=("0", "const")) -> Pcfg:
-    """Redundancy breaking driven by rule tags.
-
-    "0": the zero rule is kept out of both operands of plus-tagged rules and
-    the second operand of minus-tagged rules (neutral element).
-    "const": every plus/minus/times-tagged rule over two holes is split so
-    that no operand pair derives two const-tagged rules at its top (the fold
-    is redundant): `~nc` keeps consts out of the left operand, `~cc` pairs a
-    const left operand with a non-const right one.
-
-    No axiom orders the operands of symmetric operators: once both operands
-    of `(+ b a)` are complete, the indistinguishability rewriter folds it
-    into `(+ a b)`; an axiom that did so as well raised synth seed 1's
-    dequeues from 292,657 to 317,094.
-
-    Only tests apply it: no path in cegis, repair or the benchmark does.
-    Applied after every normalize, on seed 1 it moves the dequeues of synth,
-    lists and repair from 292,657, 2,528 and 3,866 to 284,183, 2,339 and
-    3,865 ("0"), 289,705, 2,719 and 3,860 ("const"), and 281,880, 2,315 and
-    3,878 (both), with every answer correct.
-    """
-    rules = list(g.all_rules())
-    if "0" in axioms:
-        rules = _zero_axiom(rules)
-    if "const" in axioms:
-        rules = _const_axiom(rules)
-    return normalize(rules)
-
-
-def _zero_axiom(rules: list[ProductionRule]) -> list[ProductionRule]:
-    groups = _rule_groups(rules)
-    # nonterminals with a zero rule that actually appears in a neutral position
-    targets: set[Nonterminal] = set()
-    for r in rules:
-        positions = _neutral_positions(r)
-        for i in positions:
-            nt = r.child_nts[i]
-            if any("0" in s.tags for s in groups.get(nt, [])):
-                targets.add(nt)
-    if not targets:
-        return rules
-
-    targets = {
-        nt
-        for nt in targets
-        if any("0" not in r.tags for r in groups[nt]) and any("0" in r.tags for r in groups[nt])
-    }
-    if not targets:
-        return rules
-
-    out: list[ProductionRule] = []
-    for nt, group in groups.items():
-        if nt not in targets:
-            out.extend(group)
-            continue
-        nz, any_ = _attr(nt, "NZ"), _attr(nt, "ANY")
-        nonzero_total = 0.0
-        for r in group:
-            if "0" in r.tags:
-                out.append(replace(r, lhs=any_))
-            else:
-                out.append(replace(r, lhs=nz))
-                nonzero_total += r.weight
-        out.append(ProductionRule(f"{_ntid(nt)}_nonzero", any_, Hole(nz), nonzero_total))
-        out.append(ProductionRule(f"{_ntid(nt)}_any", nt, Hole(any_), 1.0))
-
-    # rewire references to the restructured nonterminals
-    rewired: list[ProductionRule] = []
-    for r in out:
-        if not r.child_nts or not (set(r.child_nts) & targets):
-            rewired.append(r)
-            continue
-        neutral = _neutral_positions(r)
-        new_template = _rewire(r.template, targets, neutral)
-        rewired.append(replace(r, template=new_template))
-    return rewired
-
-
-def _neutral_positions(r: ProductionRule) -> set[int]:
-    """Preorder hole ordinals where a zero operand would be redundant."""
-    t = r.template
-    out: set[int] = set()
-    if "plus" in r.tags and isinstance(t, Plus):
-        left, right = children(t)
-        if isinstance(left, Hole):
-            out.add(0)
-        if isinstance(right, Hole):
-            out.add(len(holes(left)))
-    elif "minus" in r.tags and isinstance(t, Minus):
-        left, right = children(t)
-        if isinstance(right, Hole):
-            out.add(len(holes(left)))
-    return out
-
-
-def _rewire(template: Expr, targets, neutral: set[int]) -> Expr:
-    slot = itertools.count()
-
-    def go(e: Expr) -> Expr:
-        if isinstance(e, Hole):
-            i = next(slot)
-            if e.nt in targets:
-                return Hole(_attr(e.nt, "NZ" if i in neutral else "ANY"))
-            return e
-        kids = children(e)
-        if not kids:
-            return e
-        return rebuild(e, tuple(go(k) for k in kids))
-
-    return go(template)
-
-
-def _ntid(nt: Nonterminal) -> str:
-    base = type_str(nt.base).replace(" ", "").replace("(", "").replace(")", "")
-    return base if nt.attr is None else f"{base}.{nt.attr}"
-
-
-def _const_axiom(rules: list[ProductionRule]) -> list[ProductionRule]:
-    groups = _rule_groups(rules)
-    out: list[ProductionRule] = []
-    copies: dict[tuple[Nonterminal, bool], Nonterminal | None] = {}
-    extra: list[ProductionRule] = []
-
-    def restricted(nt: Nonterminal, const: bool) -> Nonterminal | None:
-        """A copy of nt holding only its const (or only its non-const) rules."""
-        key = (nt, const)
-        if key not in copies:
-            selected = [r for r in groups.get(nt, ()) if ("const" in r.tags) == const]
-            suffix = "co" if const else "nc"
-            copies[key] = _attr(nt, suffix) if selected else None
-            extra.extend(replace(r, id=f"{r.id}.{suffix}", lhs=copies[key]) for r in selected)
-        return copies[key]
-
-    for r in rules:
-        kids = children(r.template)
-        if r.tags & ARITH_TAGS and len(kids) == 2 and all(isinstance(k, Hole) for k in kids):
-            left, right = (groups.get(k.nt, ()) for k in kids)
-            w_left = sum(x.weight for x in left)
-            w_const = sum(x.weight for x in left if "const" in x.tags)
-            if w_const and any("const" in x.tags for x in right):
-                nc_left = restricted(kids[0].nt, False)
-                co_left = restricted(kids[0].nt, True)
-                nc_right = restricted(kids[1].nt, False)
-                if nc_left is not None:
-                    template = rebuild(r.template, (Hole(nc_left), kids[1]))
-                    weight = r.weight * (w_left - w_const) / w_left
-                    out.append(replace(r, id=f"{r.id}~nc", template=template, weight=weight))
-                if nc_right is not None:
-                    template = rebuild(r.template, (Hole(co_left), Hole(nc_right)))
-                    weight = r.weight * w_const / w_left
-                    out.append(replace(r, id=f"{r.id}~cc", template=template, weight=weight))
-                if nc_left is None and nc_right is None:
-                    log.warning("dropping rule %s: every operand pair is const+const", r.id)
-                continue
-        out.append(r)
-    return out + extra
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,8 @@ def _check_ident(word, what: str) -> str:
 
 
 def _parse_tag(t) -> str:
-    # tags name axiom roles ("0", "const", "plus", ...); ints are fine
+    # tags ("0", "const", "plus", ...) are kept through merge and emission,
+    # but the search reads none; ints are fine
     if isinstance(t, (int, Symbol)):
         return str(t)
     raise GrammarFileError(f"invalid tag {sexpr.write(t)}")
@@ -324,7 +325,6 @@ def desugar(gf: GrammarFile, scope: dict, seed_types=()) -> list[ProductionRule]
                 lhs=p.rtype,
                 template=template,
                 weight=p.weight,
-                tags=p.tags,
                 type_params=p.type_params,
                 variable_of=p.variable_of,
             )

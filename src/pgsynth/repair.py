@@ -30,6 +30,7 @@ from .cegis import (
     DEFAULT_SEARCH_SECONDS,
     DEFAULT_VERIFY_POINTS,
     CegisResult,
+    Point,
     SynthesisProblem,
     bounded_points,
     cegis,
@@ -83,8 +84,6 @@ from .sexpr import SexprError, Symbol
 class RepairError(LangError):
     """Malformed repair task or configuration."""
 
-
-Point = dict[str, Value]
 
 # repair's grammars weigh the broken term's subtrees SIMILAR_SIGMA * 2^(-depth)
 # (similar_term_grammar) and scale the program's own kind counts by

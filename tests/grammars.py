@@ -24,10 +24,6 @@ INT_NT = Nonterminal(INT)
 BOOL_NT = Nonterminal(BOOL)
 
 
-def tags(*ts):
-    return frozenset(ts)
-
-
 def two_sort_grammar() -> Pcfg:
     """Int/Bool grammar with probabilities 0.15/0.3/0.3/0.15/0.1 and 0.8/0.2
     (so `x + 1` has probability 0.15 * 0.3 * 0.3 = 0.0135)."""
@@ -69,11 +65,11 @@ def mixed_template_grammar() -> Pcfg:
 def weight_table_rules() -> list[ProductionRule]:
     """plus/minus/one/zero/variable at weights 10/5/5/10/20."""
     return [
-        R("plus", INT_NT, Plus(Hole(INT_NT), Hole(INT_NT)), 10, tags("plus", "commut")),
-        R("minus", INT_NT, Minus(Hole(INT_NT), Hole(INT_NT)), 5, tags("minus")),
-        R("one", INT_NT, IntLit(1), 5, tags("const")),
-        R("zero", INT_NT, IntLit(0), 10, tags("const", "0")),
-        R("var", INT_NT, Var("__var"), 20, tags("top"), variable_of=INT),
+        R("plus", INT_NT, Plus(Hole(INT_NT), Hole(INT_NT)), 10),
+        R("minus", INT_NT, Minus(Hole(INT_NT), Hole(INT_NT)), 5),
+        R("one", INT_NT, IntLit(1), 5),
+        R("zero", INT_NT, IntLit(0), 10),
+        R("var", INT_NT, Var("__var"), 20, variable_of=INT),
     ]
 
 

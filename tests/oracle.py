@@ -70,46 +70,6 @@ def derivations(g, nt, max_depth=None, _memo=None):
     return out
 
 
-def exprs_by_depth(g, nt, depth, _memo=None, _stack=None):
-    """All complete expressions derivable from nt whose expression-tree depth
-    is <= depth. Unit rules (template is a bare hole) add derivation steps but
-    no expression nodes, so they pass the budget through unchanged."""
-    from pgsynth.lang import holes, iter_subexprs
-
-    if _memo is None:
-        _memo, _stack = {}, set()
-    key = (nt, depth)
-    if key in _memo:
-        return _memo[key]
-    if key in _stack:
-        return set()  # unit-rule cycle: no new expressions on re-entry
-    _stack.add(key)
-    out = set()
-    for r in g.rules_for(nt):
-        t = r.template
-        if isinstance(t, Hole):
-            out |= exprs_by_depth(g, t.nt, depth, _memo, _stack)
-            continue
-        hole_depths = [len(p) for p, s in iter_subexprs(t) if isinstance(s, Hole)]
-        static = max(len(p) + 1 for p, _ in iter_subexprs(t))
-        if static > depth:
-            continue
-        pools = [
-            exprs_by_depth(g, c, depth - d, _memo, _stack)
-            for c, d in zip(holes(t), hole_depths)
-        ]
-        if any(not p for p in pools):
-            continue
-        for combo in itertools.product(*pools):
-            expr = t
-            for child in combo:
-                expr = replace_leftmost_hole(expr, child)
-            out.add(expr)
-    _stack.discard(key)
-    _memo[key] = out
-    return out
-
-
 def min_cost_by_depth(g, nt, max_depth):
     """Cheapest complete production of derivation depth <= max_depth,
     by dynamic programming over the depth bound (no enumeration)."""

@@ -241,7 +241,7 @@ def test_astar_priority_admissible_along_derivations():
 def test_horizon_consistency_inequality():
     for g in (two_sort_grammar(), random_recursive_pcfg(random.Random(3))):
         h = g.horizon()
-        for r in g.all_rules():
+        for r in itertools.chain.from_iterable(g.rules.values()):
             slack = g.cost[r.id] + math.fsum(h[c] for c in r.child_nts) - h[r.lhs]
             assert slack >= -1e-9
 
@@ -491,8 +491,10 @@ def test_bookkeeping_after_rewriting_and_lazy_fill(grammar):
     for pp in pushed:
         assert pp.derivation_key == to_sexpr(pp.expr)
         assert pp.hole_nts == tuple(holes(pp.expr))
-        fresh = PartialProduction(pp.expr, pp.cost, pp.horizon_sum, pp.hole_nts)
-        assert hole_paths(pp.expr) == hole_paths(fresh.expr)
+        paths = hole_paths(pp.expr)
+        assert len(paths) == len(pp.hole_nts)
+        for nt, path in zip(pp.hole_nts, paths):
+            assert get_at(pp.expr, path) == Hole(nt)
 
 
 KEY_SCAN_GRAMMAR = """\
@@ -610,9 +612,9 @@ def test_random_walk_invariants():
         assert pp.horizon_sum == pytest.approx(math.fsum(h[n] for n in pp.hole_nts))
         # incrementally spliced bookkeeping agrees with a fresh reprint
         assert pp.derivation_key == to_sexpr(pp.expr)
-        fresh = PartialProduction(pp.expr, pp.cost, pp.horizon_sum, pp.hole_nts)
-        assert hole_paths(pp.expr) == hole_paths(fresh.expr)
-        for nt, path in zip(pp.hole_nts, hole_paths(pp.expr)):
+        paths = hole_paths(pp.expr)
+        assert len(paths) == len(pp.hole_nts)
+        for nt, path in zip(pp.hole_nts, paths):
             assert get_at(pp.expr, path) == Hole(nt)
 
 

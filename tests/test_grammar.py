@@ -7,7 +7,6 @@ from pgsynth.grammar import (
     GrammarError,
     Pcfg,
     ProductionRule,
-    apply_axioms,
     discover_types,
     horizons,
     instantiate_generics,
@@ -22,7 +21,6 @@ from pgsynth.lang import (
     Head,
     Hole,
     IntLit,
-    IntV,
     Ite,
     Leq,
     ListType,
@@ -33,7 +31,6 @@ from pgsynth.lang import (
     Size,
     TypeVar,
     Var,
-    evaluate,
     type_of,
 )
 from grammars import (
@@ -43,11 +40,10 @@ from grammars import (
     mixed_template_grammar,
     random_finite_pcfg,
     random_recursive_pcfg,
-    tags,
     two_sort_grammar,
     weight_table_rules,
 )
-from oracle import derivations, exprs_by_depth, min_cost_by_depth
+from oracle import min_cost_by_depth
 
 
 # ---------------------------------------------------------------------------
@@ -230,105 +226,6 @@ def test_generic_instantiation_pipeline_type_checks():
 
 
 # ---------------------------------------------------------------------------
-# axioms
-
-
-def test_zero_axiom_reproduces_restricted_structure():
-    split = split_variable_rules(weight_table_rules(), {"x": INT})
-    g = apply_axioms(normalize(split), axioms=("0",))
-    nz = Nonterminal(INT, "NZ")
-    any_ = Nonterminal(INT, "ANY")
-    assert set(g.rules) == {INT_NT, nz, any_}
-
-    nz_rules = {r.id: r for r in g.rules_for(nz)}
-    assert set(nz_rules) == {"plus", "minus", "one", "var$x"}
-    assert g.prob["plus"] == pytest.approx(0.25)
-    assert g.prob["minus"] == pytest.approx(0.125)
-    assert g.prob["one"] == pytest.approx(0.125)
-    assert g.prob["var$x"] == pytest.approx(0.5)
-    # plus keeps zero out of both operands, minus only out of the second
-    assert nz_rules["plus"].child_nts == (nz, nz)
-    assert nz_rules["minus"].child_nts == (any_, nz)
-
-    any_rules = {r.id: r for r in g.rules_for(any_)}
-    assert set(any_rules) == {"zero", "Int_nonzero"}
-    assert g.prob["zero"] == pytest.approx(0.2)
-    assert g.prob["Int_nonzero"] == pytest.approx(0.8)
-
-    (start_rule,) = g.rules_for(INT_NT)
-    assert g.prob[start_rule.id] == 1.0
-    assert start_rule.child_nts == (any_,)
-
-
-def arithmetic_grammar():
-    # single const, so the const-const exclusion is vacuous and the axiom
-    # pass must preserve behaviors exactly
-    return normalize(
-        [
-            R("add", INT_NT, Plus(Hole(INT_NT), Hole(INT_NT)), 4, tags("plus", "commut")),
-            R("sub", INT_NT, Minus(Hole(INT_NT), Hole(INT_NT)), 2, tags("minus")),
-            R("zero", INT_NT, IntLit(0), 2, tags("const", "0")),
-            R("vx", INT_NT, Var("x"), 4, tags("top")),
-            R("vy", INT_NT, Var("y"), 2, tags("top")),
-        ]
-    )
-
-
-def signature_set(g, nt, depth, envs):
-    return {
-        tuple(evaluate(e, env) for env in envs) for e in exprs_by_depth(g, nt, depth)
-    }
-
-
-def test_axiom_soundness_behaviors_preserved():
-    # symmetry breaking removes only semantic duplicates: the behaviors
-    # reachable at expression depth <= 3 are unchanged
-    g = arithmetic_grammar()
-    rng = random.Random(16)
-    envs = [{"x": IntV(rng.randrange(-50, 50)), "y": IntV(rng.randrange(-50, 50))} for _ in range(16)]
-    before = signature_set(g, INT_NT, 3, envs)
-    after_g = apply_axioms(g)
-    after = signature_set(after_g, after_g.start(INT), 3, envs)
-    assert before == after
-
-
-def test_axioms_prune_redundant_trees():
-    g = arithmetic_grammar()
-    ga = apply_axioms(g)
-    before = exprs_by_depth(g, INT_NT, 3)
-    after = exprs_by_depth(ga, ga.start(INT), 3)
-    assert after < before  # proper subset: 0-operands and mirrored pairs gone
-    assert Plus(IntLit(0), Var("x")) in before
-    assert Plus(IntLit(0), Var("x")) not in after
-
-
-def test_const_const_exclusion_splits_minus():
-    rules = [
-        R("sub", INT_NT, Minus(Hole(INT_NT), Hole(INT_NT)), 2, tags("minus")),
-        R("one", INT_NT, IntLit(1), 1, tags("const")),
-        R("two", INT_NT, IntLit(2), 1, tags("const")),
-        R("vx", INT_NT, Var("x"), 2, tags("top")),
-    ]
-    g = apply_axioms(normalize(rules), axioms=("const",))
-    exprs = {e for e, _ in derivations(g, g.start(INT), 2)}
-    # no const-const operand pair survives; const-var pairs do
-    assert Minus(IntLit(1), IntLit(2)) not in exprs
-    assert Minus(IntLit(1), IntLit(1)) not in exprs
-    assert Minus(IntLit(1), Var("x")) in exprs
-    assert Minus(Var("x"), IntLit(2)) in exprs
-    assert Minus(Var("x"), Var("x")) in exprs
-
-    # a plus rule is split the same way, whatever other tags it carries
-    rules[0] = R("add", INT_NT, Plus(Hole(INT_NT), Hole(INT_NT)), 2, tags("plus", "commut"))
-    g = apply_axioms(normalize(rules), axioms=("const",))
-    exprs = {e for e, _ in derivations(g, g.start(INT), 2)}
-    assert Plus(IntLit(1), IntLit(2)) not in exprs
-    assert Plus(IntLit(1), IntLit(1)) not in exprs
-    assert Plus(IntLit(1), Var("x")) in exprs
-    assert Plus(Var("x"), IntLit(2)) in exprs
-
-
-# ---------------------------------------------------------------------------
 # horizons
 
 
@@ -341,8 +238,21 @@ def test_horizons_two_sort_values():
     assert h[BOOL_NT] == pytest.approx(2.6310891599660815, abs=1e-9)
 
 
+def arithmetic_grammar():
+    # Int terms over plus and minus, with one constant and two variables
+    return normalize(
+        [
+            R("add", INT_NT, Plus(Hole(INT_NT), Hole(INT_NT)), 4),
+            R("sub", INT_NT, Minus(Hole(INT_NT), Hole(INT_NT)), 2),
+            R("zero", INT_NT, IntLit(0), 2),
+            R("vx", INT_NT, Var("x"), 4),
+            R("vy", INT_NT, Var("y"), 2),
+        ]
+    )
+
+
 def test_horizons_match_bounded_brute_force():
-    for g in [two_sort_grammar(), arithmetic_grammar(), apply_axioms(arithmetic_grammar())]:
+    for g in [two_sort_grammar(), arithmetic_grammar()]:
         h = horizons(g)
         for nt in g.rules:
             brute = min_cost_by_depth(g, nt, 4)
@@ -371,7 +281,6 @@ def _shared_grammars():
     yield two_sort_grammar()
     yield mixed_template_grammar()
     yield normalize(split_variable_rules(weight_table_rules(), {"x": INT, "y": INT}))
-    yield apply_axioms(two_sort_grammar())
     for seed in range(30):
         yield random_finite_pcfg(random.Random(seed))
         yield random_recursive_pcfg(random.Random(seed), n_nts=4)

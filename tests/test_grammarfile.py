@@ -1,6 +1,7 @@
 """Grammar file parsing, emission, desugaring, and merging."""
 
 import math
+import re
 
 import pytest
 
@@ -110,11 +111,27 @@ def test_labeled_desugar_matches_attribute_grammar():
     assert g.prob["nz2bi"] == pytest.approx(0.8)
     assert g.prob["start"] == pytest.approx(1.0)
 
-    rules = {r.id: r for r in g.all_rules()}
+    rules = {r.id: r for group in g.rules.values() for r in group}
     assert rules["minus"].child_nts == (bi, nz)
     assert rules["nz2bi"].template == Hole(nz)
     assert rules["start"].template == Hole(bi)
     assert g.start(INT) == INT_NT
+
+
+@pytest.mark.parametrize("text", [FLAT_FILE, DEFAULT_GRAMMAR_TEXT], ids=["flat", "default"])
+def test_tags_do_not_change_the_grammar(text):
+    # tags are kept in the file format, but the search reads none: emptying
+    # every tag list leaves the rules, probabilities and costs as they are
+    untagged = re.sub(r"^(production\s+\S+\s+)\[[^]]*\]", r"\1[]", text, flags=re.M)
+    assert any(p.tags for p in parse_grammar_file(text).productions)
+    assert not any(p.tags for p in parse_grammar_file(untagged).productions)
+    scope = {"x": INT, "c": BOOL, "l": ListType(INT)}
+    tagged_g, untagged_g = (normalize(desugar(parse_grammar_file(t), scope)) for t in (text, untagged))
+    assert {nt: [(r.id, r.template) for r in rs] for nt, rs in tagged_g.rules.items()} == {
+        nt: [(r.id, r.template) for r in rs] for nt, rs in untagged_g.rules.items()
+    }
+    assert tagged_g.prob == untagged_g.prob
+    assert tagged_g.cost == untagged_g.cost
 
 
 def test_child_slots_follow_body_occurrence_order():
