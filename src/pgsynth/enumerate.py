@@ -5,8 +5,10 @@ nodes tagged with their nonterminals. Expansion replaces the leftmost hole
 with every rule of its nonterminal. An expression may have more than one
 derivation: a similar-term grammar's `sim*` production rederives a subtree
 that the base rules also derive, and the rewriter can map two productions to
-one. So the queue keys each production on its printed expression and keeps
-the first-pushed derivation of a key, which need not be the cheaper one.
+one. So the enumerator keys each production on its printed expression and
+keeps the first-pushed derivation of a key, which need not be the cheaper
+one. Its frontier is a heap of (priority, key, production) entries; keys
+never repeat, so equal priorities pop in key order.
 Priorities: Dijkstra orders by cost alone (-log probability of the rules used
 so far), A* adds the horizon (minimum cost still to be paid for the remaining
 holes), and the score mode subtracts a bonus for partial productions already
@@ -203,41 +205,6 @@ def expand(pp: PartialProduction, g: Pcfg) -> list[PartialProduction]:
     return out
 
 
-class DedupQueue:
-    """Min-priority queue keyed on (priority, derivation_key); a production
-    whose derivation key was ever pushed before is dropped, so ties never
-    reach the productions."""
-
-    def __init__(self, priority: Callable[[PartialProduction], float]):
-        self._priority = priority
-        self._heap: list[tuple[float, str, PartialProduction]] = []
-        self._seen: set[str] = set()
-
-    def push(self, pp: PartialProduction) -> bool:
-        key = pp.derivation_key
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        heapq.heappush(self._heap, (self._priority(pp), key, pp))
-        return True
-
-    def is_dup(self, pp: PartialProduction) -> bool:
-        return pp.derivation_key in self._seen
-
-    def pop_min(self) -> PartialProduction:
-        return heapq.heappop(self._heap)[2]
-
-    def pps(self) -> Iterator[PartialProduction]:
-        for _, _, pp in self._heap:
-            yield pp
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-
 class IndistRewriter:
     """Replaces complete subexpressions by the representative of their
     equivalence class on the input points. The full rewrite evaluates maximal
@@ -353,13 +320,16 @@ class Enumerator:
     With mode Dijkstra or A* and no hooks, the stream contains every
     production of `start` with nonincreasing probability, once per
     expression: of an expression's derivations, it keeps the first pushed,
-    which need not be the most probable. The prune hook is
-    consulted on every dequeue (complete productions failing it are discarded
-    rather than emitted); the score hook assigns each pushed production its
+    which need not be the most probable. The frontier is `_heap`, a min-heap
+    of (priority, derivation key, production) entries, and `_seen` holds
+    every key ever pushed: a child whose key is in it is dropped
+    (`dup_dropped`) before it is scored. The prune hook is consulted on
+    every dequeue (complete productions failing it are discarded rather than
+    emitted); the score hook assigns each pushed production its
     satisfied-point count; the rewriter, when given, canonicalizes
-    indistinguishable subexpressions, and a child whose key was pushed before
-    is dropped (`dup_dropped`). Ends either by exhausting a finite grammar
-    (`exhausted`) or by hitting the dequeue/deadline budget (`budget_hit`).
+    indistinguishable subexpressions. Ends either by exhausting a finite
+    grammar (`exhausted`) or by hitting the dequeue/deadline budget
+    (`budget_hit`).
     """
 
     def __init__(
@@ -386,8 +356,14 @@ class Enumerator:
         self.stats = EnumStats()
         self.exhausted = False
         self.budget_hit = False
-        self.queue = DedupQueue(mode.priority)
-        self.queue.push(self._scored(root_pp(g, start)))
+        self._heap: list[tuple[float, str, PartialProduction]] = []
+        self._seen: set[str] = set()  # every key ever pushed
+        self._push(self._scored(root_pp(g, start)))
+
+    def _push(self, pp: PartialProduction) -> None:
+        key = pp.derivation_key
+        self._seen.add(key)
+        heapq.heappush(self._heap, (self.mode.priority(pp), key, pp))
 
     def _scored(self, pp: PartialProduction) -> PartialProduction:
         if self.score is not None:
@@ -405,16 +381,16 @@ class Enumerator:
             )
 
     def frontier(self) -> list[PartialProduction]:
-        return list(self.queue.pps())
+        return [pp for _, _, pp in self._heap]
 
     def __iter__(self) -> Iterator[PartialProduction]:
-        while self.queue:
+        while self._heap:
             if self.stats.dequeued >= self.max_dequeues or (
                 self.deadline is not None and time.monotonic() > self.deadline
             ):
                 self.budget_hit = True
                 return
-            pp = self.queue.pop_min()
+            pp = heapq.heappop(self._heap)[2]
             self.stats.dequeued += 1
             self._trace("DEQ", pp)
             if self.prune is not None and self.prune(pp.expr):
@@ -441,11 +417,11 @@ class Enumerator:
                         self._trace("REWRITE", rewritten)
                         child = rewritten
                 # dedup before scoring: a dropped key never needs its score
-                if self.queue.is_dup(child):
+                if child.derivation_key in self._seen:
                     self.stats.dup_dropped += 1
                     self._trace("DROP-DUP", child)
                     continue
                 child = self._scored(child)
-                self.queue.push(child)
+                self._push(child)
                 self.stats.pushed += 1
         self.exhausted = True

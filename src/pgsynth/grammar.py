@@ -179,20 +179,26 @@ def _reject_zero_cost_cycles(groups, prob) -> None:
         for r in group:
             if prob[r.id] == 1.0:
                 edges[nt].update(c for c in r.child_nts if c in groups)
-    state: dict[Nonterminal, int] = {}
-
-    def visit(nt: Nonterminal) -> None:
-        state[nt] = 1
-        for nxt in edges[nt]:
-            if state.get(nxt) == 1:
-                raise GrammarError(f"cycle of probability-1 rules through {nt}")
-            if nxt not in state:
-                visit(nxt)
-        state[nt] = 2
-
-    for nt in groups:
-        if nt not in state:
-            visit(nt)
+    # depth first with an explicit stack, so a long chain cannot overflow
+    # Python's; each stack entry resumes its node's edges where it left off
+    state: dict[Nonterminal, int] = {}  # 1 while on the path, 2 when done
+    for root in groups:
+        if root in state:
+            continue
+        state[root] = 1
+        stack = [(root, iter(edges[root]))]
+        while stack:
+            nt, rest = stack[-1]
+            for nxt in rest:
+                if state.get(nxt) == 1:
+                    raise GrammarError(f"cycle of probability-1 rules through {nt}")
+                if nxt not in state:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(edges[nxt])))
+                    break
+            else:
+                state[nt] = 2
+                stack.pop()
 
 
 # ---------------------------------------------------------------------------

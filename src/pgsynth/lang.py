@@ -655,15 +655,6 @@ def evaluate(e: Expr, env: Env) -> Value:
     return compile_expr(e)(env)
 
 
-def compile_expr(e: Expr) -> Callable[[Env], Value]:
-    """e as one closure from environments to values, to be run on many: a
-    literal folds to one shared Value and each operator becomes a closure
-    over its operands' closures. A hole or an unbound variable raises
-    EvalError only when the closure reaches it, so an untaken branch or a
-    short-circuited operand may hold one."""
-    return _compile_complete(e)
-
-
 def partial_eval(e: Expr, env: PartialEnv) -> "Value | _Unknown":
     """Evaluate under holes: a definite Value or ErrV, or UNKNOWN while the
     result depends on them (the module docstring says what a definite
@@ -679,12 +670,6 @@ def partial_eval(e: Expr, env: PartialEnv) -> "Value | _Unknown":
 
 
 _last_partial: tuple = (None, None)  # partial_eval's last expression and closure
-
-
-def compile_partial(e: Expr) -> "Callable[[PartialEnv], Value | _Unknown]":
-    """partial_eval compiled once for many environments: compile_expr's
-    closures, except that a hole yields UNKNOWN."""
-    return _compile_partial(e)
 
 
 def _compiler(hole: Callable[[Env], Value]) -> Callable[[Expr], Callable[[Env], Value]]:
@@ -778,8 +763,15 @@ def _c_open(env):
     return UNKNOWN
 
 
-_compile_complete = _compiler(_c_hole)
-_compile_partial = _compiler(_c_open)
+# compile_expr(e): e as one closure from environments to values, to be run
+# on many: a literal folds to one shared Value and each operator becomes a
+# closure over its operands' closures. A hole or an unbound variable raises
+# EvalError only when the closure reaches it, so an untaken branch or a
+# short-circuited operand may hold one.
+compile_expr = _compiler(_c_hole)
+# compile_partial(e): partial_eval compiled once for many environments:
+# compile_expr's closures, except that a hole yields UNKNOWN.
+compile_partial = _compiler(_c_open)
 
 
 def _c_strict(op: Operator):

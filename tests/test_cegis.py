@@ -8,7 +8,6 @@ from oracle import oracle_eval_expr, oracle_points, oracle_verify, to_py
 from pgsynth.cegis import (
     IoExample,
     ProblemError,
-    SynthesisProblem,
     bounded_points,
     bounded_values,
     cegis,

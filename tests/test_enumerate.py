@@ -1,6 +1,7 @@
-"""Best-first enumeration: expansion, priority modes, dedup queue, pruning,
-and indistinguishability rewriting."""
+"""Best-first enumeration: expansion, priority modes, the deduplicating
+frontier, pruning, and indistinguishability rewriting."""
 
+import heapq
 import itertools
 import math
 import random
@@ -21,7 +22,6 @@ from oracle import derivations, replace_leftmost_hole
 from pgsynth.enumerate import (
     ASTAR,
     DIJKSTRA,
-    DedupQueue,
     Enumerator,
     IndistRewriter,
     PartialProduction,
@@ -251,18 +251,23 @@ def test_horizon_consistency_inequality():
 
 
 def test_probability_mass_conserved_stepwise():
+    # expand alone: without a rewriter no two pushed productions share a key
     g = two_sort_grammar()
-    queue = DedupQueue(ASTAR.priority)
-    queue.push(root_pp(g, INT_NT))
+    heap = []
+
+    def push(pp):
+        heapq.heappush(heap, (ASTAR.priority(pp), pp.derivation_key, pp))
+
+    push(root_pp(g, INT_NT))
     emitted_mass = 0.0
     for _ in range(1000):
-        pp = queue.pop_min()
+        pp = heapq.heappop(heap)[2]
         if pp.complete:
             emitted_mass += pp.probability
         else:
             for child in expand(pp, g):
-                queue.push(child)
-        mass = emitted_mass + math.fsum(p.probability for p in queue.pps())
+                push(child)
+        mass = emitted_mass + math.fsum(p.probability for _, _, p in heap)
         assert abs(mass - 1.0) <= 1e-6
 
 
@@ -277,39 +282,35 @@ def test_probability_mass_conserved_through_enumerator():
 
 
 # ---------------------------------------------------------------------------
-# dedup queue
+# the frontier
 
 
-def test_dedup_queue_contract():
-    g = two_sort_grammar()
-    q = DedupQueue(DIJKSTRA.priority)
-    pp = root_pp(g, INT_NT)
-    assert q.push(pp)
-    assert not q.push(pp)
-    assert len(q) == 1
-
-    q = DedupQueue(DIJKSTRA.priority)
-    cheap = PartialProduction(IntLit(1), 0.9, 0.0, ())
-    dear = PartialProduction(IntLit(0), 1.2, 0.0, ())
-    q.push(dear)
-    q.push(cheap)
-    assert q.pop_min() is cheap
-
-    q = DedupQueue(DIJKSTRA.priority)
-    b = PartialProduction(Var("b"), 1.0, 0.0, ())
-    a = PartialProduction(Var("a"), 1.0, 0.0, ())
-    q.push(b)
-    q.push(a)
-    assert q.pop_min() is a  # tie broken by derivation key
-
-
-def test_dedup_skips_rederived_duplicates_after_rewrite():
-    # once x - x is rewritten to 0, pushing the rewritten child again is a dup
-    g = two_sort_grammar()
-    q = DedupQueue(ASTAR.priority)
-    zero = PartialProduction(IntLit(0), 1.0, 0.0, ())
-    assert q.push(zero)
-    assert not q.push(PartialProduction(IntLit(0), 2.0, 0.0, ()))
+def test_frontier_orders_by_priority_then_key_and_keeps_first_pushed():
+    # `sim` derives (+ a 1) complete at the root, so that dearer derivation
+    # is pushed before the base rules' cheaper one, which is then dropped
+    g = normalize(
+        [
+            R("b", INT_NT, Var("b"), 300),
+            R("c", INT_NT, Var("c"), 300),
+            R("a", INT_NT, Var("a"), 300),
+            R("zero", INT_NT, IntLit(0), 100),
+            R("one", INT_NT, IntLit(1), 150),
+            R("add", INT_NT, Plus(Hole(INT_NT), Hole(INT_NT)), 150),
+            R("sim", INT_NT, Plus(Var("a"), IntLit(1)), 1),
+        ]
+    )
+    sim_cost = g.cost["sim"]
+    base_cost = g.cost["add"] + g.cost["a"] + g.cost["one"]
+    assert base_cost < sim_cost
+    en = Enumerator(g, INT_NT, ASTAR)
+    out = list(itertools.takewhile(lambda pp: pp.cost <= sim_cost + 1e-9, en))
+    keys = [pp.derivation_key for pp in out]
+    # equal costs pop in key order, not in push order (b, c, a) or its
+    # reverse; a cheaper production pops before a dearer one
+    assert keys[:5] == ["a", "b", "c", "1", "0"]
+    assert keys.count("(+ a 1)") == 1
+    assert out[keys.index("(+ a 1)")].cost == pytest.approx(sim_cost)
+    assert en.stats.dup_dropped >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +485,8 @@ def test_spine_rewrite_matches_whole_tree_walk(grammar):
 def test_bookkeeping_after_rewriting_and_lazy_fill(grammar):
     en = Enumerator(grammar(), INT_NT, ASTAR, rewriter=IndistRewriter(_envs([2, 5, 7])))
     pushed = []
-    push = en.queue.push
-    en.queue.push = lambda pp: pushed.append(pp) or push(pp)
+    push = en._push
+    en._push = lambda pp: pushed.append(pp) or push(pp)
     take(en, 2000)
     assert en.stats.rewritten > 0 and len(pushed) == en.stats.pushed
     for pp in pushed:
@@ -528,8 +529,8 @@ def test_key_scan_finds_the_leftmost_hole(text, scope, marker):
     ]
     en = Enumerator(g, INT_NT, ASTAR, rewriter=IndistRewriter(envs), max_dequeues=2000)
     pushed = []
-    push = en.queue.push
-    en.queue.push = lambda pp: pushed.append(pp) or push(pp)
+    push = en._push
+    en._push = lambda pp: pushed.append(pp) or push(pp)
     list(en)
     assert en.stats.dequeued == 2000 and en.stats.rewritten > 0
     assert any(marker in pp.derivation_key for pp in pushed if not pp.complete)

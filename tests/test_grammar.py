@@ -3,10 +3,10 @@ import random
 
 import pytest
 
+from pgsynth.enumerate import Enumerator
 from pgsynth.grammar import (
     GrammarError,
     Pcfg,
-    ProductionRule,
     discover_types,
     horizons,
     instantiate_generics,
@@ -16,13 +16,10 @@ from pgsynth.grammar import (
 from pgsynth.lang import (
     BOOL,
     INT,
-    And,
     Cons,
     Head,
     Hole,
     IntLit,
-    Ite,
-    Leq,
     ListType,
     Minus,
     Nil,
@@ -128,6 +125,28 @@ def test_zero_cost_cycle_rejected():
     assert g.prob["ba"] == 1.0
     with pytest.raises(GrammarError):
         normalize([R("ab", a, Hole(b), 1), R("ba", b, Hole(a), 1)])
+
+
+def test_probability_one_cycle_rejected():
+    # each leaf's weight is lost against 1e20, so ab and ba get p == 1.0
+    a, b = Nonterminal(INT, "A"), Nonterminal(INT, "B")
+    rules = [
+        R("ab", a, Hole(b), 1e20),
+        R("ba", b, Hole(a), 1e20),
+        R("a1", a, IntLit(1), 1),
+        R("b1", b, IntLit(2), 1),
+    ]
+    with pytest.raises(GrammarError, match="cycle of probability-1"):
+        normalize(rules)
+
+
+def test_long_probability_one_chain_normalizes_and_enumerates():
+    # far deeper than Python's recursion limit, and no cycle
+    chain = [Nonterminal(INT, f"L{i}") for i in range(2000)]
+    rules = [R(f"c{i}", nt, Hole(nxt), 1) for i, (nt, nxt) in enumerate(zip(chain, chain[1:]))]
+    g = normalize(rules + [R("leaf", chain[-1], IntLit(1), 1)])
+    assert g.cost["c0"] == 0.0
+    assert [pp.expr for pp in Enumerator(g, chain[0])] == [IntLit(1)]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from pgsynth.lang import (
     Tail,
     Times,
     TypeCheckError,
-    TypeVar,
     Value,
     Var,
     compile_expr,

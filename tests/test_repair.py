@@ -16,20 +16,16 @@ from pgsynth.corpus import parse_program, emit_program
 from pgsynth.grammar import normalize
 from pgsynth.grammarfile import parse_grammar_file, DEFAULT_GRAMMAR_TEXT, desugar
 from pgsynth.lang import (
-    BOOL,
     INT,
-    IntLit,
     ListV,
     ListType,
     Nonterminal,
-    TRUE_V,
     BoolV,
     IntV,
     iter_subexprs,
     parse_expr,
     replace_at,
     to_sexpr,
-    type_of,
 )
 from pgsynth.repair import (
     RepairError,
