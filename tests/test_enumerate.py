@@ -313,6 +313,59 @@ def test_frontier_orders_by_priority_then_key_and_keeps_first_pushed():
     assert en.stats.dup_dropped >= 1
 
 
+def test_dedup_queue_contract():
+    # the root's children are pushed in rule order: the dear 0, then b
+    # before a, then 1 twice; the second 1 is the same key and is dropped
+    g = normalize(
+        [
+            R("zero", INT_NT, IntLit(0), 1),
+            R("b", INT_NT, Var("b"), 2),
+            R("a", INT_NT, Var("a"), 2),
+            R("one", INT_NT, IntLit(1), 4),
+            R("one-again", INT_NT, IntLit(1), 1),
+        ]
+    )
+    en = Enumerator(g, INT_NT, DIJKSTRA)
+    out = list(en)
+    assert en.exhausted
+    # the cheaper pops first; equal priorities pop in key order
+    assert keys(out) == ["1", "a", "b", "0"]
+    assert out[0].cost == pytest.approx(g.cost["one"])
+    assert en.stats.pushed == 4 and en.stats.dup_dropped == 1
+
+
+def test_dedup_skips_rederived_duplicates_after_rewrite():
+    # once x - x is rewritten to 0, pushing the rewritten child is a dearer
+    # re-derivation of the 0 already pushed, and is dropped
+    g = normalize(
+        [
+            R("zero", INT_NT, IntLit(0), 1),
+            R("x", INT_NT, Var("x"), 1),
+            R("minus", INT_NT, Minus(Hole(INT_NT), Hole(INT_NT)), 1),
+        ]
+    )
+    lines = []
+    en = Enumerator(
+        g,
+        INT_NT,
+        ASTAR,
+        rewriter=IndistRewriter(_envs([2, 5, 7])),
+        max_dequeues=60,
+        trace=lines.append,
+    )
+    out = list(en)
+    events = [line.split("\t") for line in lines]
+    dropped = [
+        float(rw[2])
+        for rw, drop in zip(events, events[1:])
+        if rw[0] == "REWRITE" and drop[0] == "DROP-DUP" and rw[5] == drop[5] == "0"
+    ]
+    zero = [pp for pp in out if pp.derivation_key == "0"]
+    assert len(zero) == 1 and zero[0].cost == pytest.approx(g.cost["zero"])
+    assert dropped and min(dropped) > zero[0].cost
+    assert len(set(keys(out))) == len(out)
+
+
 # ---------------------------------------------------------------------------
 # pruning
 
